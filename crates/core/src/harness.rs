@@ -7,11 +7,12 @@ use std::collections::BTreeMap;
 use stabl_sim::{
     ByzConfig, ByzantineSpec, ByzantineWrapper, CaptureLevel, DetRng, EventCounters, LatencyModel,
     LatencyTopology, NodeId, PanicRecord, Protocol, SimBuilder, SimDuration, SimEvent, SimStats,
-    SimTime, Simulation, TimedEvent,
+    SimTime, TimedEvent,
 };
 use stabl_types::{Transaction, TxId};
 
 use crate::client::RetryPolicy;
+use crate::commits::CommitIndex;
 use crate::metrics::{Ecdf, EcdfError, StageLatencies, ThroughputSeries};
 use crate::{ClientMode, FaultSchedule, WorkloadSpec};
 
@@ -223,48 +224,6 @@ where
     }
 }
 
-/// Moves freshly recorded commits into the `(node, tx) → first commit
-/// instant` index, tracking the latest commit seen anywhere and each
-/// transaction's first commit *anywhere* (the consensus/delivery stage
-/// boundary).
-fn drain_commits<P: Protocol<Commit = TxId>>(
-    sim: &mut Simulation<P>,
-    first_commit: &mut BTreeMap<(u32, TxId), SimTime>,
-    earliest_commit: &mut BTreeMap<TxId, SimTime>,
-    last_commit: &mut SimTime,
-) {
-    for record in sim.take_commits() {
-        first_commit
-            .entry((record.node.as_u32(), record.commit))
-            .or_insert(record.time);
-        // Commits drain in kernel time order, so the first insert wins.
-        earliest_commit.entry(record.commit).or_insert(record.time);
-        *last_commit = (*last_commit).max(record.time);
-    }
-}
-
-/// The instant at which a client with observations from `contacted`
-/// (minus withholding Byzantine RPC nodes) collects its `quorum`-th
-/// commit confirmation, if it has.
-fn resolution(
-    contacted: &[NodeId],
-    byzantine_rpc: &[NodeId],
-    id: TxId,
-    quorum: usize,
-    first_commit: &BTreeMap<(u32, TxId), SimTime>,
-) -> Option<SimTime> {
-    let mut observed: Vec<SimTime> = contacted
-        .iter()
-        .filter(|node| !byzantine_rpc.contains(node))
-        .filter_map(|node| first_commit.get(&(node.as_u32(), id)).copied())
-        .collect();
-    if observed.len() < quorum {
-        return None;
-    }
-    observed.sort_unstable();
-    Some(observed[quorum - 1])
-}
-
 fn run_inner<P>(config: &RunConfig, protocol_config: P::Config, capture: CaptureLevel) -> TracedRun
 where
     P: Protocol<Request = Transaction, Commit = TxId>,
@@ -307,9 +266,7 @@ where
         }
     }
 
-    let mut first_commit: BTreeMap<(u32, TxId), SimTime> = BTreeMap::new();
-    let mut earliest_commit: BTreeMap<TxId, SimTime> = BTreeMap::new();
-    let mut last_commit = SimTime::ZERO;
+    let mut commits = CommitIndex::new(submissions.iter().map(|s| s.transaction.id()), config.n);
     let mut retries = 0u64;
     let mut give_ups = 0u64;
     let quorum = config.client_mode.required_quorum();
@@ -327,23 +284,12 @@ where
         }
         while let Some((deadline, batch)) = agenda.pop_first() {
             sim.run_until(deadline);
-            drain_commits(
-                &mut sim,
-                &mut first_commit,
-                &mut earliest_commit,
-                &mut last_commit,
-            );
+            commits.drain(&mut sim);
             for (i, attempt) in batch {
                 let submission = &submissions[i];
-                let id = submission.transaction.id();
-                if resolution(
-                    &contacted[i],
-                    &config.byzantine_rpc,
-                    id,
-                    quorum,
-                    &first_commit,
-                )
-                .is_some()
+                if commits
+                    .resolution(i, &contacted[i], &config.byzantine_rpc, quorum)
+                    .is_some()
                 {
                     continue;
                 }
@@ -393,28 +339,16 @@ where
         }
     }
     sim.run_until(config.horizon);
-    drain_commits(
-        &mut sim,
-        &mut first_commit,
-        &mut earliest_commit,
-        &mut last_commit,
-    );
+    commits.drain(&mut sim);
 
     let mut latencies = Vec::with_capacity(submissions.len());
     let mut commit_times = Vec::with_capacity(submissions.len());
     let mut unresolved = 0usize;
     let mut stages = StageLatencies::new();
     for (i, submission) in submissions.iter().enumerate() {
-        let id = submission.transaction.id();
         // Observations the client can actually collect: Byzantine RPC
         // nodes withhold theirs.
-        match resolution(
-            &contacted[i],
-            &config.byzantine_rpc,
-            id,
-            quorum,
-            &first_commit,
-        ) {
+        match commits.resolution(i, &contacted[i], &config.byzantine_rpc, quorum) {
             Some(resolved_at) => {
                 latencies.push((resolved_at - submission.at).as_secs_f64());
                 commit_times.push(resolved_at);
@@ -423,7 +357,7 @@ where
                 // since a commit can only follow some arrival, but the
                 // *observed* earliest pair may interleave under retries.
                 let arrived = first_arrival[i];
-                let committed = earliest_commit.get(&id).copied().unwrap_or(resolved_at);
+                let committed = commits.earliest_commit(i).unwrap_or(resolved_at);
                 stages.record(
                     arrived.saturating_since(submission.at),
                     committed.saturating_since(arrived),
@@ -434,7 +368,8 @@ where
         }
     }
 
-    let lost_liveness = unresolved > 0 && last_commit + config.stall_grace < config.horizon;
+    let lost_liveness =
+        unresolved > 0 && commits.last_commit() + config.stall_grace < config.horizon;
 
     let result = RunResult {
         latencies,

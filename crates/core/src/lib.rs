@@ -32,6 +32,7 @@
 
 mod chains;
 mod client;
+mod commits;
 pub mod diagnose;
 mod faults;
 mod harness;

@@ -7,7 +7,7 @@
 //!
 //! | id    | bans |
 //! |-------|------|
-//! | N-001 | `==` / `!=` against a float literal, and `partial_cmp` |
+//! | N-001 | `==` / `!=` against a float literal, and `partial_cmp` calls |
 //! | N-002 | truncating `as` casts of time/seed-named values |
 //! | N-003 | raw `+` / `-` on `.as_micros()` / `.as_millis()` results |
 //!
@@ -58,10 +58,14 @@ pub fn check_token(tokens: &[Token], i: usize, raw: &mut Vec<(usize, &'static st
 
 /// N-001: `x == 1.0`, `x != -0.5`, `a.partial_cmp(&b)`.
 fn float_eq(tokens: &[Token], i: usize, raw: &mut Vec<(usize, &'static str, String)>) {
-    if tokens
-        .get(i)
-        .is_some_and(|t| t.kind == TokenKind::Ident && t.text == "partial_cmp")
-    {
+    let ident = |at: usize, text: &str| {
+        tokens
+            .get(at)
+            .is_some_and(|t| t.kind == TokenKind::Ident && t.text == text)
+    };
+    // `fn partial_cmp` is a hand-written `impl PartialOrd` *defining*
+    // the method, not a float comparison; its call sites are flagged.
+    if ident(i, "partial_cmp") && !(i > 0 && ident(i - 1, "fn")) {
         raw.push((
             i,
             "N-001",
@@ -192,6 +196,16 @@ mod tests {
         assert_eq!(findings("if 0.5 != y {}"), vec!["N-001"]);
         assert_eq!(findings("if x == -2.5e3 {}"), vec!["N-001"]);
         assert_eq!(findings("let o = a.partial_cmp(&b);"), vec!["N-001"]);
+        // Defining the method is not calling it; the body's calls count.
+        assert!(
+            findings("fn partial_cmp(&self, o: &Self) -> Option<Ordering> { None }").is_empty()
+        );
+        assert_eq!(
+            findings(
+                "fn partial_cmp(&self, o: &Self) -> Option<Ordering> { self.0.partial_cmp(&o.0) }"
+            ),
+            vec!["N-001"]
+        );
         // Integer comparisons, total_cmp and compound operators pass.
         assert!(findings("if x == 10 {}").is_empty());
         assert!(findings("let o = a.total_cmp(&b);").is_empty());

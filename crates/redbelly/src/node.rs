@@ -5,7 +5,7 @@
 use std::collections::BTreeMap;
 
 use stabl_sim::{ConnAction, ConnectionManager, ContentionStats, Ctx, NodeId, Protocol, SimTime};
-use stabl_types::{AccountPool, Ledger, Transaction, TxId};
+use stabl_types::{AccountPool, Ledger, Transaction, TxId, TxIndex};
 
 use crate::{BinaryAction, BinaryInstance, RedbellyConfig};
 
@@ -313,12 +313,12 @@ impl RedbellyNode {
         // *set union* of the included batches — Set Byzantine Consensus
         // combines the valid transactions of all proposals, executing
         // each only once however many proposers included it.
-        let mut seen = std::collections::BTreeSet::new();
+        let mut seen = TxIndex::with_capacity(state.proposals.values().map(Vec::len).sum());
         let mut superblock = Vec::new();
         for (slot, instance) in state.instances.iter().enumerate() {
             if instance.decision() == Some(true) {
                 if let Some(batch) = state.proposals.get(&(slot as u32)) {
-                    superblock.extend(batch.iter().copied().filter(|tx| seen.insert(tx.id())));
+                    superblock.extend(batch.iter().copied().filter(|tx| seen.insert(tx.id()).1));
                 }
             }
         }

@@ -25,6 +25,7 @@
 
 mod config;
 mod node;
+mod outbox;
 pub mod schedule;
 
 pub use config::SolanaConfig;

@@ -3,11 +3,12 @@
 //! state machine whose violated precondition crashes every node after a
 //! transient outage (paper §5).
 
-use std::collections::{BTreeMap, BTreeSet, VecDeque};
+use std::collections::{BTreeMap, BTreeSet};
 
 use stabl_sim::{ContentionStats, Ctx, NodeId, Protocol, SimTime};
 use stabl_types::{AccountPool, Block, Hash32, Ledger, Transaction, TxId};
 
+use crate::outbox::Outbox;
 use crate::{schedule, SolanaConfig};
 
 /// Wire messages of the simulated Solana network.
@@ -84,8 +85,7 @@ pub struct SolanaNode {
     // Leader pipeline: the per-slot buffer of forwarded transactions.
     buffer: AccountPool,
     // RPC outbox: client transactions pending confirmation.
-    outbox: VecDeque<Transaction>,
-    outbox_ids: BTreeSet<TxId>,
+    outbox: Outbox,
     current_slot: u64,
     // Stake distribution (leader slots and vote quorums are weighted).
     stakes: Vec<u64>,
@@ -261,30 +261,26 @@ impl SolanaNode {
         if !self.confirmed.insert(slot) {
             return;
         }
+        let mut settled = Vec::with_capacity(block.len());
         for tx in block.txs() {
             match self.ledger.apply(tx) {
                 Ok(id) => {
                     ctx.commit(id);
                     self.buffer.mark_committed(tx.from(), tx.nonce() + 1);
-                    self.drop_from_outbox(id);
+                    settled.push(id);
                 }
                 Err(stabl_types::ApplyError::SequenceNumberTooOld { .. }) => {
-                    self.drop_from_outbox(tx.id());
+                    settled.push(tx.id());
                 }
                 Err(_) => {} // nonce gap: the origin RPC node will retry
             }
         }
+        self.outbox.remove_all(&settled);
         self.highest_confirmed = self.highest_confirmed.max(slot);
         self.root = self.root.max(
             self.highest_confirmed
                 .saturating_sub(self.config.root_lag_slots),
         );
-    }
-
-    fn drop_from_outbox(&mut self, id: TxId) {
-        if self.outbox_ids.remove(&id) {
-            self.outbox.retain(|tx| tx.id() != id);
-        }
     }
 
     fn handle_sync_request(&mut self, from: NodeId, from_slot: u64, ctx: &mut Ctx<'_, Self>) {
@@ -337,8 +333,7 @@ impl Protocol for SolanaNode {
             },
             eah: BTreeMap::new(),
             buffer: AccountPool::new(config.outbox_capacity),
-            outbox: VecDeque::new(),
-            outbox_ids: BTreeSet::new(),
+            outbox: Outbox::default(),
             current_slot: 0,
             stakes,
             stake_quorum,
@@ -369,14 +364,12 @@ impl Protocol for SolanaNode {
     }
 
     fn on_request(&mut self, tx: Transaction, ctx: &mut Ctx<'_, Self>) {
-        if self.ledger.next_nonce(tx.from()) > tx.nonce() || self.outbox_ids.contains(&tx.id()) {
+        if self.ledger.next_nonce(tx.from()) > tx.nonce()
+            || self.outbox.len() >= self.config.outbox_capacity
+            || !self.outbox.push(tx)
+        {
             return;
         }
-        if self.outbox.len() >= self.config.outbox_capacity {
-            return;
-        }
-        self.outbox_ids.insert(tx.id());
-        self.outbox.push_back(tx);
         // Forward immediately as well as on the next slot ticks.
         let slot = self.slot_at(ctx.now());
         let leader = self.leader_for(slot);
@@ -393,7 +386,6 @@ impl Protocol for SolanaNode {
         // Volatile state is gone.
         self.buffer.clear_pending();
         self.outbox.clear();
-        self.outbox_ids.clear();
         self.votes.clear();
         self.voted_slots.clear();
         // Restart validation: replaying into an epoch whose EAH start

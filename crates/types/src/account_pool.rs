@@ -8,9 +8,37 @@
 //! only when an account's committed nonce advances, so a failed proposal
 //! needs no restore step.
 
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::btree_map::Entry;
+use std::collections::BTreeMap;
 
-use crate::{AccountId, Transaction, TxId};
+use crate::{AccountId, Transaction};
+
+/// What the pool knows about one account.
+#[derive(Clone, Debug, Default)]
+struct AccountState {
+    /// The next nonce the chain will commit; every pending nonce is at
+    /// or above it.
+    committed_next: u64,
+    /// `true` once [`AccountPool::mark_committed`] named the account:
+    /// the entry then mirrors durable chain state and outlives
+    /// [`AccountPool::clear_pending`].
+    durable: bool,
+    /// The nonce window: pending transactions by nonce. A transaction's
+    /// id is a function of its content, so "this id is pending" is
+    /// "the slot of its `(from, nonce)` holds this id" — no id index.
+    pending: BTreeMap<u64, Transaction>,
+}
+
+impl AccountState {
+    /// The contiguous run of pending transactions starting at the
+    /// committed nonce.
+    fn ready(&self) -> impl Iterator<Item = &Transaction> {
+        self.pending
+            .iter()
+            .zip(self.committed_next..)
+            .map_while(|((nonce, tx), expected)| (*nonce == expected).then_some(tx))
+    }
+}
 
 /// A bounded, nonce-ordered transaction pool with per-account readiness
 /// tracking.
@@ -32,9 +60,7 @@ use crate::{AccountId, Transaction, TxId};
 /// ```
 #[derive(Clone, Debug, Default)]
 pub struct AccountPool {
-    by_account: BTreeMap<AccountId, BTreeMap<u64, Transaction>>,
-    ids: BTreeSet<TxId>,
-    committed_next: BTreeMap<AccountId, u64>,
+    accounts: BTreeMap<AccountId, AccountState>,
     len: usize,
     capacity: usize,
     rejected_stale: u64,
@@ -74,31 +100,50 @@ impl AccountPool {
 
     /// The next nonce the pool believes `account` will commit.
     pub fn committed_nonce(&self, account: AccountId) -> u64 {
-        self.committed_next.get(&account).copied().unwrap_or(0)
+        self.accounts
+            .get(&account)
+            .map_or(0, |state| state.committed_next)
     }
 
     /// Inserts `tx`; returns `false` for stale transactions, duplicates
     /// and a full pool.
     pub fn insert(&mut self, tx: Transaction) -> bool {
-        if self.is_stale(&tx) || self.ids.contains(&tx.id()) {
+        let full = self.len >= self.capacity;
+        let Some(state) = self.accounts.get_mut(&tx.from()) else {
+            if full {
+                self.rejected_full += 1;
+                return false;
+            }
+            let state = self.accounts.entry(tx.from()).or_default();
+            state.pending.insert(tx.nonce(), tx);
+            self.len += 1;
+            return true;
+        };
+        if tx.nonce() < state.committed_next {
             self.rejected_stale += 1;
             return false;
         }
-        if self.len >= self.capacity {
-            self.rejected_full += 1;
-            return false;
+        match state.pending.entry(tx.nonce()) {
+            Entry::Occupied(held) if held.get().id() == tx.id() => {
+                self.rejected_stale += 1;
+                false
+            }
+            _ if full => {
+                self.rejected_full += 1;
+                false
+            }
+            Entry::Occupied(_) => {
+                // A different transaction already occupies this nonce; first
+                // arrival wins (like production pools without fee bumping).
+                self.rejected_conflict += 1;
+                false
+            }
+            Entry::Vacant(slot) => {
+                slot.insert(tx);
+                self.len += 1;
+                true
+            }
         }
-        let slots = self.by_account.entry(tx.from()).or_default();
-        if slots.contains_key(&tx.nonce()) {
-            // A different transaction already occupies this nonce; first
-            // arrival wins (like production pools without fee bumping).
-            self.rejected_conflict += 1;
-            return false;
-        }
-        slots.insert(tx.nonce(), tx);
-        self.ids.insert(tx.id());
-        self.len += 1;
-        true
     }
 
     /// Copies up to `max` *ready* transactions: for every account, the
@@ -106,35 +151,16 @@ impl AccountPool {
     /// round-robin across accounts for fairness. The pool is unchanged —
     /// entries leave only through [`AccountPool::mark_committed`].
     pub fn take_ready(&self, max: usize) -> Vec<Transaction> {
-        let mut ready: Vec<Vec<Transaction>> = Vec::new();
-        for (account, slots) in &self.by_account {
-            let mut next = self.committed_nonce(*account);
-            let mut run = Vec::new();
-            while let Some(tx) = slots.get(&next) {
-                run.push(*tx);
-                next += 1;
-            }
-            if !run.is_empty() {
-                ready.push(run);
-            }
-        }
+        let mut runs: Vec<_> = self.accounts.values().map(AccountState::ready).collect();
         let mut out = Vec::with_capacity(max.min(self.len));
-        let mut depth = 0;
-        while out.len() < max {
-            let mut any = false;
-            for run in &ready {
-                if let Some(tx) = run.get(depth) {
-                    out.push(*tx);
-                    any = true;
-                    if out.len() == max {
-                        break;
-                    }
+        while out.len() < max && !runs.is_empty() {
+            // One round: the next transaction of every run still going.
+            runs.retain_mut(|run| {
+                if out.len() == max {
+                    return true;
                 }
-            }
-            if !any {
-                break;
-            }
-            depth += 1;
+                run.next().map(|tx| out.push(*tx)).is_some()
+            });
         }
         out
     }
@@ -143,18 +169,10 @@ impl AccountPool {
     /// protocol-specific selection policies such as Avalanche's
     /// randomised gossip).
     pub fn ready_for(&self, account: AccountId, max: usize) -> Vec<Transaction> {
-        let mut out = Vec::new();
-        if let Some(slots) = self.by_account.get(&account) {
-            let mut next = self.committed_nonce(account);
-            while let Some(tx) = slots.get(&next) {
-                out.push(*tx);
-                next += 1;
-                if out.len() == max {
-                    break;
-                }
-            }
-        }
-        out
+        self.accounts
+            .get(&account)
+            .map(|state| state.ready().take(max).copied().collect())
+            .unwrap_or_default()
     }
 
     /// The pool's *frontier*: for every account with state, the first
@@ -162,25 +180,15 @@ impl AccountPool {
     /// plus the ready run). Pull-gossip peers use this to compute which
     /// transactions the node is missing.
     pub fn frontier(&self) -> Vec<(AccountId, u64)> {
-        let mut out: Vec<(AccountId, u64)> = Vec::new();
-        let mut accounts: Vec<AccountId> = self
-            .by_account
-            .keys()
-            .copied()
-            .chain(self.committed_next.keys().copied())
-            .collect();
-        accounts.sort_unstable();
-        accounts.dedup();
-        for account in accounts {
-            let mut next = self.committed_nonce(account);
-            if let Some(slots) = self.by_account.get(&account) {
-                while slots.contains_key(&next) {
-                    next += 1;
-                }
-            }
-            out.push((account, next));
-        }
-        out
+        self.accounts
+            .iter()
+            .map(|(account, state)| {
+                (
+                    *account,
+                    state.committed_next + state.ready().count() as u64,
+                )
+            })
+            .collect()
     }
 
     /// Transactions this pool holds that a peer with `frontier` is
@@ -189,8 +197,8 @@ impl AccountPool {
     pub fn missing_for(&self, frontier: &[(AccountId, u64)], max: usize) -> Vec<Transaction> {
         let mut out = Vec::new();
         for &(account, from_nonce) in frontier {
-            if let Some(slots) = self.by_account.get(&account) {
-                for (_, tx) in slots.range(from_nonce..) {
+            if let Some(state) = self.accounts.get(&account) {
+                for (_, tx) in state.pending.range(from_nonce..) {
                     out.push(*tx);
                     if out.len() == max {
                         return out;
@@ -203,9 +211,9 @@ impl AccountPool {
 
     /// Accounts with at least one pending transaction, in id order.
     pub fn accounts(&self) -> Vec<AccountId> {
-        self.by_account
+        self.accounts
             .iter()
-            .filter(|(_, slots)| !slots.is_empty())
+            .filter(|(_, state)| !state.pending.is_empty())
             .map(|(account, _)| *account)
             .collect()
     }
@@ -213,25 +221,29 @@ impl AccountPool {
     /// Advances `account`'s committed nonce to at least `next_nonce`,
     /// pruning every entry below it.
     pub fn mark_committed(&mut self, account: AccountId, next_nonce: u64) {
-        let entry = self.committed_next.entry(account).or_insert(0);
-        if next_nonce <= *entry {
+        let state = self.accounts.entry(account).or_default();
+        state.durable = true;
+        if next_nonce <= state.committed_next {
             return;
         }
-        *entry = next_nonce;
-        if let Some(slots) = self.by_account.get_mut(&account) {
-            let keep = slots.split_off(&next_nonce);
-            for (_, tx) in std::mem::replace(slots, keep) {
-                self.ids.remove(&tx.id());
-                self.len -= 1;
-            }
+        state.committed_next = next_nonce;
+        while state
+            .pending
+            .first_key_value()
+            .is_some_and(|(nonce, _)| *nonce < next_nonce)
+        {
+            state.pending.pop_first();
+            self.len -= 1;
         }
     }
 
     /// Drops all pending transactions (volatile restart) while keeping
     /// the committed-nonce index (derived from durable chain state).
     pub fn clear_pending(&mut self) {
-        self.by_account.clear();
-        self.ids.clear();
+        self.accounts.retain(|_, state| {
+            state.pending.clear();
+            state.durable
+        });
         self.len = 0;
     }
 
@@ -421,5 +433,297 @@ mod tests {
         assert_eq!(ready.len(), 1);
         assert_eq!(ready[0].nonce(), 0);
         assert_eq!(pool.accounts(), vec![AccountId::new(0), AccountId::new(1)]);
+    }
+
+    use proptest::prelude::*;
+
+    /// One step of the model-based test.
+    #[derive(Clone, Debug)]
+    enum Op {
+        /// Insert `transfer(from, nonce, to, 1)`; two `to`s make
+        /// same-slot conflicts, repeats make duplicates.
+        Insert {
+            from: u32,
+            nonce: u64,
+            to: u32,
+        },
+        Commit {
+            account: u32,
+            next_nonce: u64,
+        },
+        ClearPending,
+    }
+
+    /// Three inserts to one `mark_committed` to one `clear_pending`.
+    fn op() -> impl Strategy<Value = Op> {
+        (0u8..5, 0u32..5, 0u64..12, 8u32..10).prop_map(|(kind, account, nonce, to)| match kind {
+            0..=2 => Op::Insert {
+                from: account % 4,
+                nonce,
+                to,
+            },
+            3 => Op::Commit {
+                account,
+                next_nonce: nonce,
+            },
+            _ => Op::ClearPending,
+        })
+    }
+
+    proptest! {
+        /// The one-map pool and the reference model agree on every
+        /// verdict, counter and query after every step of a random
+        /// insert / `mark_committed` / `clear_pending` sequence, in a
+        /// pool small enough to fill up.
+        #[test]
+        fn one_map_pool_matches_the_reference_model(
+            capacity in 1usize..24,
+            ops in proptest::collection::vec(op(), 0..128),
+            (ready_max, missing_max) in (0usize..32, 1usize..16),
+        ) {
+            let mut pool = AccountPool::new(capacity);
+            let mut model = reference::ReferencePool::new(capacity);
+            for op in ops {
+                match op {
+                    Op::Insert { from, nonce, to } => {
+                        let tx = Transaction::transfer(
+                            AccountId::new(from), nonce, AccountId::new(to), 1,
+                        );
+                        prop_assert_eq!(pool.is_stale(&tx), model.is_stale(&tx));
+                        prop_assert_eq!(pool.insert(tx), model.insert(tx), "verdict for {}", tx);
+                    }
+                    Op::Commit { account, next_nonce } => {
+                        pool.mark_committed(AccountId::new(account), next_nonce);
+                        model.mark_committed(AccountId::new(account), next_nonce);
+                    }
+                    Op::ClearPending => {
+                        pool.clear_pending();
+                        model.clear_pending();
+                    }
+                }
+                prop_assert_eq!(pool.len(), model.len());
+                prop_assert_eq!(pool.rejected_stale(), model.rejected_stale());
+                prop_assert_eq!(pool.rejected_full(), model.rejected_full());
+                prop_assert_eq!(pool.rejected_conflict(), model.rejected_conflict());
+                prop_assert_eq!(pool.take_ready(ready_max), model.take_ready(ready_max));
+                prop_assert_eq!(pool.take_ready(usize::MAX), model.take_ready(usize::MAX));
+                prop_assert_eq!(pool.accounts(), model.accounts());
+                let frontier = pool.frontier();
+                prop_assert_eq!(&frontier, &model.frontier());
+                for account in (0..5).map(AccountId::new) {
+                    prop_assert_eq!(pool.committed_nonce(account), model.committed_nonce(account));
+                    prop_assert_eq!(
+                        pool.ready_for(account, ready_max.max(1)),
+                        model.ready_for(account, ready_max.max(1))
+                    );
+                }
+                // A peer one nonce behind on every account, and one
+                // that knows nothing.
+                let behind: Vec<_> = frontier.iter().map(|(a, n)| (*a, n.saturating_sub(1))).collect();
+                let blank: Vec<_> = (0..5).map(|a| (AccountId::new(a), 0)).collect();
+                for peer in [&frontier, &behind, &blank] {
+                    prop_assert_eq!(
+                        pool.missing_for(peer, missing_max),
+                        model.missing_for(peer, missing_max)
+                    );
+                }
+            }
+        }
+    }
+
+    /// The pool as it was before the one-map rewrite — an id set, a
+    /// slot map and a committed-nonce map kept in step — retained as the
+    /// reference model the rewrite is checked against.
+    mod reference {
+        use std::collections::{BTreeMap, BTreeSet};
+
+        use crate::{AccountId, Transaction, TxId};
+
+        #[derive(Clone, Debug, Default)]
+        pub struct ReferencePool {
+            by_account: BTreeMap<AccountId, BTreeMap<u64, Transaction>>,
+            ids: BTreeSet<TxId>,
+            committed_next: BTreeMap<AccountId, u64>,
+            len: usize,
+            capacity: usize,
+            rejected_stale: u64,
+            rejected_full: u64,
+            rejected_conflict: u64,
+        }
+
+        impl ReferencePool {
+            pub fn new(capacity: usize) -> ReferencePool {
+                assert!(capacity > 0, "pool capacity must be positive");
+                ReferencePool {
+                    capacity,
+                    ..ReferencePool::default()
+                }
+            }
+
+            pub fn len(&self) -> usize {
+                self.len
+            }
+
+            pub fn is_stale(&self, tx: &Transaction) -> bool {
+                tx.nonce() < self.committed_nonce(tx.from())
+            }
+
+            pub fn committed_nonce(&self, account: AccountId) -> u64 {
+                self.committed_next.get(&account).copied().unwrap_or(0)
+            }
+
+            pub fn insert(&mut self, tx: Transaction) -> bool {
+                if self.is_stale(&tx) || self.ids.contains(&tx.id()) {
+                    self.rejected_stale += 1;
+                    return false;
+                }
+                if self.len >= self.capacity {
+                    self.rejected_full += 1;
+                    return false;
+                }
+                let slots = self.by_account.entry(tx.from()).or_default();
+                if slots.contains_key(&tx.nonce()) {
+                    // A different transaction already occupies this nonce; first
+                    // arrival wins (like production pools without fee bumping).
+                    self.rejected_conflict += 1;
+                    return false;
+                }
+                slots.insert(tx.nonce(), tx);
+                self.ids.insert(tx.id());
+                self.len += 1;
+                true
+            }
+
+            pub fn take_ready(&self, max: usize) -> Vec<Transaction> {
+                let mut ready: Vec<Vec<Transaction>> = Vec::new();
+                for (account, slots) in &self.by_account {
+                    let mut next = self.committed_nonce(*account);
+                    let mut run = Vec::new();
+                    while let Some(tx) = slots.get(&next) {
+                        run.push(*tx);
+                        next += 1;
+                    }
+                    if !run.is_empty() {
+                        ready.push(run);
+                    }
+                }
+                let mut out = Vec::with_capacity(max.min(self.len));
+                let mut depth = 0;
+                while out.len() < max {
+                    let mut any = false;
+                    for run in &ready {
+                        if let Some(tx) = run.get(depth) {
+                            out.push(*tx);
+                            any = true;
+                            if out.len() == max {
+                                break;
+                            }
+                        }
+                    }
+                    if !any {
+                        break;
+                    }
+                    depth += 1;
+                }
+                out
+            }
+
+            pub fn ready_for(&self, account: AccountId, max: usize) -> Vec<Transaction> {
+                let mut out = Vec::new();
+                if let Some(slots) = self.by_account.get(&account) {
+                    let mut next = self.committed_nonce(account);
+                    while let Some(tx) = slots.get(&next) {
+                        out.push(*tx);
+                        next += 1;
+                        if out.len() == max {
+                            break;
+                        }
+                    }
+                }
+                out
+            }
+
+            pub fn frontier(&self) -> Vec<(AccountId, u64)> {
+                let mut out: Vec<(AccountId, u64)> = Vec::new();
+                let mut accounts: Vec<AccountId> = self
+                    .by_account
+                    .keys()
+                    .copied()
+                    .chain(self.committed_next.keys().copied())
+                    .collect();
+                accounts.sort_unstable();
+                accounts.dedup();
+                for account in accounts {
+                    let mut next = self.committed_nonce(account);
+                    if let Some(slots) = self.by_account.get(&account) {
+                        while slots.contains_key(&next) {
+                            next += 1;
+                        }
+                    }
+                    out.push((account, next));
+                }
+                out
+            }
+
+            pub fn missing_for(
+                &self,
+                frontier: &[(AccountId, u64)],
+                max: usize,
+            ) -> Vec<Transaction> {
+                let mut out = Vec::new();
+                for &(account, from_nonce) in frontier {
+                    if let Some(slots) = self.by_account.get(&account) {
+                        for (_, tx) in slots.range(from_nonce..) {
+                            out.push(*tx);
+                            if out.len() == max {
+                                return out;
+                            }
+                        }
+                    }
+                }
+                out
+            }
+
+            pub fn accounts(&self) -> Vec<AccountId> {
+                self.by_account
+                    .iter()
+                    .filter(|(_, slots)| !slots.is_empty())
+                    .map(|(account, _)| *account)
+                    .collect()
+            }
+
+            pub fn mark_committed(&mut self, account: AccountId, next_nonce: u64) {
+                let entry = self.committed_next.entry(account).or_insert(0);
+                if next_nonce <= *entry {
+                    return;
+                }
+                *entry = next_nonce;
+                if let Some(slots) = self.by_account.get_mut(&account) {
+                    let keep = slots.split_off(&next_nonce);
+                    for (_, tx) in std::mem::replace(slots, keep) {
+                        self.ids.remove(&tx.id());
+                        self.len -= 1;
+                    }
+                }
+            }
+
+            pub fn clear_pending(&mut self) {
+                self.by_account.clear();
+                self.ids.clear();
+                self.len = 0;
+            }
+
+            pub fn rejected_stale(&self) -> u64 {
+                self.rejected_stale
+            }
+
+            pub fn rejected_full(&self) -> u64 {
+                self.rejected_full
+            }
+
+            pub fn rejected_conflict(&self) -> u64 {
+                self.rejected_conflict
+            }
+        }
     }
 }

@@ -7,6 +7,7 @@
 //! that identities behave exactly like in production chains (collision
 //! resistance, avalanche effect, stable across platforms).
 
+use std::cmp::Ordering;
 use std::fmt;
 
 /// A 256-bit digest.
@@ -22,8 +23,39 @@ use std::fmt;
 ///     "ba7816bf8f01cfea414140de5dae2223b00361a396177a9cb410ff61f20015ad"
 /// );
 /// ```
-#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
+///
+/// # Ordering contract
+///
+/// Digests order as four big-endian `u64` words, which is the same
+/// total order as byte-lexicographic comparison of
+/// [`Hash32::as_bytes`]: a big-endian word orders exactly like its
+/// eight bytes, and the first differing word holds the first differing
+/// byte. Every digest-keyed ordered map in the workspace therefore
+/// iterates in byte order, while a comparison between distinct digests
+/// is one integer compare instead of a `memcmp` call.
+#[derive(Clone, Copy, PartialEq, Eq, Hash, Default)]
 pub struct Hash32([u8; 32]);
+
+impl Ord for Hash32 {
+    #[inline]
+    fn cmp(&self, other: &Hash32) -> Ordering {
+        for (a, b) in self.0.chunks_exact(8).zip(other.0.chunks_exact(8)) {
+            let a = u64::from_be_bytes(a.try_into().expect("8-byte chunk"));
+            let b = u64::from_be_bytes(b.try_into().expect("8-byte chunk"));
+            if a != b {
+                return a.cmp(&b);
+            }
+        }
+        Ordering::Equal
+    }
+}
+
+impl PartialOrd for Hash32 {
+    #[inline]
+    fn partial_cmp(&self, other: &Hash32) -> Option<Ordering> {
+        Some(self.cmp(other))
+    }
+}
 
 impl Hash32 {
     /// The all-zero digest (used as the genesis parent).
@@ -168,31 +200,24 @@ impl Sha256 {
     /// Produces the digest, consuming the hasher.
     pub fn finalize(mut self) -> Hash32 {
         let bit_len = self.length.wrapping_mul(8);
-        // Padding: 0x80, zeros, 64-bit big-endian length.
-        self.update_padding(&[0x80]);
-        while self.buffered != 56 {
-            self.update_padding(&[0]);
+        // Padding: 0x80, zeros, 64-bit big-endian length — written
+        // straight into the partial block (`buffered` < 64 always).
+        self.buffer[self.buffered] = 0x80;
+        self.buffer[self.buffered + 1..].fill(0);
+        if self.buffered >= 56 {
+            // No room left for the length: it goes in a block of its own.
+            let block = self.buffer;
+            self.compress(&block);
+            self.buffer = [0u8; 64];
         }
-        self.update_padding(&bit_len.to_be_bytes());
-        debug_assert_eq!(self.buffered, 0);
+        self.buffer[56..].copy_from_slice(&bit_len.to_be_bytes());
+        let block = self.buffer;
+        self.compress(&block);
         let mut out = [0u8; 32];
         for (i, word) in self.state.iter().enumerate() {
             out[i * 4..i * 4 + 4].copy_from_slice(&word.to_be_bytes());
         }
         Hash32(out)
-    }
-
-    /// `update` without advancing the message length (padding bytes).
-    fn update_padding(&mut self, data: &[u8]) {
-        for &b in data {
-            self.buffer[self.buffered] = b;
-            self.buffered += 1;
-            if self.buffered == 64 {
-                let block = self.buffer;
-                self.compress(&block);
-                self.buffered = 0;
-            }
-        }
     }
 
     fn compress(&mut self, block: &[u8; 64]) {
@@ -327,6 +352,52 @@ mod tests {
             0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0,
         ]);
         assert_eq!(h.prefix_u64(), 1);
+    }
+
+    /// The ordering contract, exhaustively over where two digests first
+    /// differ: the later bytes are set against the deciding byte, so a
+    /// comparison that read a word in the wrong byte order, or let a
+    /// later word overrule an earlier one, fails at that position.
+    #[test]
+    fn ordering_is_byte_lexicographic_at_every_first_difference() {
+        for position in 0..32 {
+            let mut low = [0x5A; 32];
+            let mut high = [0x5A; 32];
+            low[position] = 0x10;
+            high[position] = 0x11;
+            low[position + 1..].fill(0xFF);
+            high[position + 1..].fill(0x00);
+            let (l, h) = (Hash32::from_bytes(low), Hash32::from_bytes(high));
+            assert_eq!(l.cmp(&h), low.cmp(&high), "first difference at {position}");
+            assert_eq!(h.cmp(&l), high.cmp(&low), "first difference at {position}");
+            assert_eq!(l.partial_cmp(&h), Some(Ordering::Less));
+            assert_ne!(l, h);
+            assert_eq!(l.cmp(&l), Ordering::Equal);
+        }
+    }
+
+    use proptest::prelude::*;
+
+    proptest! {
+        /// `cmp`/`eq` on digests equal `cmp`/`eq` on their bytes, for
+        /// unrelated digests and for pairs sharing a prefix of any
+        /// length (32 = equal digests).
+        #[test]
+        fn ordering_and_equality_match_the_bytes(
+            a in proptest::collection::vec(any::<u8>(), 32..33),
+            b in proptest::collection::vec(any::<u8>(), 32..33),
+            shared in 0usize..33,
+        ) {
+            let a: [u8; 32] = a.try_into().expect("32 bytes");
+            let mut b: [u8; 32] = b.try_into().expect("32 bytes");
+            for bytes in [b, { b[..shared].copy_from_slice(&a[..shared]); b }] {
+                let (x, y) = (Hash32::from_bytes(a), Hash32::from_bytes(bytes));
+                prop_assert_eq!(x.cmp(&y), a.cmp(&bytes));
+                prop_assert_eq!(y.cmp(&x), bytes.cmp(&a));
+                prop_assert_eq!(x.partial_cmp(&y), a.partial_cmp(&bytes));
+                prop_assert_eq!(x == y, a == bytes);
+            }
+        }
     }
 
     #[test]

@@ -2,9 +2,10 @@
 //!
 //! Hashing ([`Sha256`], [`Hash32`]), accounts and native transfers
 //! ([`Transaction`]), blocks ([`Block`]), the replicated account ledger
-//! ([`Ledger`]) and a generic deduplicating [`Mempool`]. These are the
-//! building blocks shared by the five protocol crates of the Stabl
-//! reproduction.
+//! ([`Ledger`]), the nonce-aware [`AccountPool`] the five chains hold
+//! pending transactions in, a generic deduplicating [`Mempool`] and the
+//! O(1) transaction-id index [`TxIndex`]. These are the building blocks
+//! shared by the five protocol crates of the Stabl reproduction.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -15,6 +16,7 @@ mod crypto;
 mod ledger;
 mod mempool;
 mod tx;
+mod tx_index;
 
 pub use account_pool::AccountPool;
 pub use block::Block;
@@ -22,6 +24,7 @@ pub use crypto::{Hash32, Sha256};
 pub use ledger::{ApplyError, Ledger};
 pub use mempool::Mempool;
 pub use tx::{AccountId, Transaction, TxId};
+pub use tx_index::TxIndex;
 
 #[cfg(test)]
 mod prop_tests {

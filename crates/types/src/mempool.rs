@@ -1,9 +1,10 @@
 //! A generic FIFO memory pool with duplicate suppression.
 //!
-//! Algorand, Aptos, Avalanche and Redbelly hold pending transactions in a
-//! node-local pool before proposing them; Solana notably does not (it
-//! forwards to scheduled leaders), which is why its crate does not use
-//! this type.
+//! None of the five chain models uses this type: all of them — Solana's
+//! leader buffer included — hold pending transactions in the nonce-aware
+//! [`AccountPool`](crate::AccountPool). `Mempool` is the plain FIFO
+//! counterpart: the model `AccountPool`'s deduplication is property-tested
+//! against, and a layer the benchmark times (`types.mempool_ns_per_tx`).
 
 use std::collections::{BTreeSet, VecDeque};
 
