@@ -1,6 +1,6 @@
 //! The known-bad fixture shrink: a hand-written, deliberately noisy
 //! schedule must reduce to its one load-bearing action in its minimal
-//! form. CI runs this as part of the `adversary-smoke` job.
+//! form. CI runs this as part of the `campaigns` job.
 
 use stabl::{FaultAction, PaperSetup};
 use stabl_sim::{ByzantineBehavior, LinkFault, NodeId, SimDuration, SimTime};

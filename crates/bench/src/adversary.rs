@@ -4,7 +4,7 @@
 //! and two runs with the same seed produce byte-identical traces.
 //!
 //! The module also carries the comparison and replication helpers the
-//! `ext_adversary` binary and the `adversary_corpus` regression test
+//! `ext_adversary` campaign and the `adversary_corpus` regression test
 //! share: the paper's worst fixed-scenario key (the bar a discovery
 //! must clear), and multi-seed replication of a shrunk schedule into a
 //! bootstrap confidence interval.
@@ -14,7 +14,7 @@ use stabl_adversary::{fitness_of, Evaluate, Fitness, Genome, Objective, ScoreCi}
 use stabl_sim::DetRng;
 use stabl_stats::{percentile_ci, SeedSequence};
 
-use crate::engine::{Engine, Job};
+use crate::engine::{Engine, Group, Job};
 
 /// Evaluates genomes by running them through the campaign engine
 /// against a fixed baseline run.
@@ -99,16 +99,17 @@ pub fn paper_worst(
     chain: Chain,
     objective: Objective,
 ) -> (f64, Vec<(ScenarioKind, Fitness)>) {
-    let mut jobs = Vec::new();
-    for kind in ScenarioKind::ALTERED {
-        jobs.push(Job::scenario_baseline(setup, chain, kind));
-        jobs.push(Job::scenario(setup, chain, kind));
-    }
-    let results = engine.run(jobs);
+    let groups = ScenarioKind::ALTERED
+        .into_iter()
+        .map(|kind| Group::scenario(setup, chain, kind))
+        .collect();
     let scenarios: Vec<(ScenarioKind, Fitness)> = ScenarioKind::ALTERED
         .into_iter()
-        .enumerate()
-        .map(|(i, kind)| (kind, fitness_of(&results[2 * i], &results[2 * i + 1])))
+        .zip(engine.run_groups(groups))
+        .map(|(kind, group)| {
+            let (baseline, altered) = group.as_pair();
+            (kind, fitness_of(baseline, altered))
+        })
         .collect();
     let worst = scenarios
         .iter()

@@ -1,4 +1,4 @@
-//! Extension: contention sensitivity under production-shaped traffic.
+//! Contention sensitivity under production-shaped traffic.
 //!
 //! The paper's workload is deliberately contention-free: a handful of
 //! accounts per client, constant rate, disjoint read-write sets (§3).
@@ -15,9 +15,11 @@
 //! same machinery as `fig3_sensitivity_ci`. Artefacts go under
 //! `<out>/contention/`.
 
-use stabl::{report_from_runs, Chain, PaperSetup, ScenarioKind, TrafficModel, WorkloadSpec};
-use stabl_bench::{BenchOpts, Job};
+use stabl::report::SensitivityRecord;
+use stabl::{Chain, PaperSetup, ScenarioKind, TrafficModel, WorkloadSpec};
 use stabl_stats::{CellObservation, ReplicatedCell, SeedSequence};
+
+use crate::{BenchOpts, Group, Job};
 
 /// Zipf exponents swept, in permille (0 = uniform … 1100 = past-unit
 /// skew where the head accounts dominate).
@@ -40,7 +42,7 @@ struct GridPoint {
 }
 
 /// The contention counters of one run, lifted out of `SimStats`.
-fn contention_json(stats: &stabl_sim::SimStats) -> serde_json::Value {
+pub(super) fn contention_json(stats: &stabl_sim::SimStats) -> serde_json::Value {
     serde_json::json!({
         "speculative_reexecutions": stats.speculative_reexecutions,
         "conflict_aborts": stats.conflict_aborts,
@@ -66,8 +68,8 @@ fn monotone_in_theta(row: &[&ReplicatedCell]) -> bool {
     })
 }
 
-fn main() {
-    let opts = BenchOpts::from_args();
+/// Runs the θ × burst sweep and writes `contention/contention.{json,csv}`.
+pub fn contention(opts: &BenchOpts) {
     let setup = &opts.setup;
     let replicates = opts.replicates.unwrap_or(DEFAULT_REPLICATES);
     eprintln!(
@@ -91,14 +93,13 @@ fn main() {
         }
     }
 
-    // One flat seed-major batch: replicate r occupies the job range
-    // [r * 2 * grid.len(), (r + 1) * 2 * grid.len()), two jobs per
-    // cell (baseline then altered) — both under the *same* production
-    // workload, so the score isolates the fault, not the traffic.
+    // One seed-major batch: replicate r's groups are the r-th
+    // `grid.len()` chunk, one baseline/altered pair per cell — both
+    // under the *same* production workload, so the score isolates the
+    // fault, not the traffic.
     let seeds = SeedSequence::new(setup.seed);
-    let stride = 2 * grid.len();
-    let mut jobs = Vec::with_capacity(replicates * stride);
-    let mut replicate_setups = Vec::with_capacity(replicates);
+    let mut groups = Vec::with_capacity(replicates * grid.len());
+    let mut replicate_seeds = Vec::with_capacity(replicates);
     for r in 0..replicates {
         let rsetup = PaperSetup {
             seed: seeds.seed(r),
@@ -113,37 +114,31 @@ fn main() {
                 point.theta_permille,
                 point.burst
             );
-            let mut baseline = rsetup.run_config(point.chain, ScenarioKind::Baseline);
-            baseline.workload = workload.clone();
-            jobs.push(Job::config(
-                format!("{label}/baseline"),
-                point.chain,
-                baseline,
-            ));
-            let mut altered = rsetup.run_config(point.chain, FAULT);
-            altered.workload = workload;
-            jobs.push(Job::config(
-                format!("{label}/{}", FAULT.name()),
-                point.chain,
-                altered,
-            ));
+            let job = |kind: ScenarioKind| {
+                let mut config = rsetup.run_config(point.chain, kind);
+                config.workload = workload.clone();
+                Job::config(format!("{label}/{}", kind.name()), point.chain, config)
+            };
+            groups.push(Group::pair(job(ScenarioKind::Baseline), job(FAULT)));
         }
-        replicate_setups.push(rsetup);
+        replicate_seeds.push(rsetup.seed);
     }
-    let results = opts.engine().run(jobs);
+    let results = opts.engine().run_groups(groups);
+    let per_replicate: Vec<_> = results.chunks(grid.len()).collect();
 
     // Fold each cell across its replicates.
     let mut cells: Vec<ReplicatedCell> = Vec::with_capacity(grid.len());
     let mut artefact_cells = Vec::with_capacity(grid.len());
     for (i, point) in grid.iter().enumerate() {
-        let observations: Vec<CellObservation> = (0..replicates)
-            .map(|r| {
-                let baseline = &results[r * stride + 2 * i];
-                let altered = &results[r * stride + 2 * i + 1];
-                let report = report_from_runs(point.chain, FAULT, baseline, altered);
-                let record: stabl::report::SensitivityRecord = report.sensitivity.into();
+        let observations: Vec<CellObservation> = per_replicate
+            .iter()
+            .zip(&replicate_seeds)
+            .map(|(replicate, &seed)| {
+                let (_, altered) = replicate[i].as_pair();
+                let report = replicate[i].report(point.chain, FAULT);
+                let record: SensitivityRecord = report.sensitivity.into();
                 CellObservation {
-                    seed: replicate_setups[r].seed,
+                    seed,
                     score: record.score,
                     improved: record.improved,
                     commit_ratio: altered.commit_ratio(),
@@ -165,13 +160,14 @@ fn main() {
         );
         // Counters from replicate 0 (the base seed) keep the artefact
         // auditable without averaging integer event counts.
+        let (baseline, altered) = per_replicate[0][i].as_pair();
         artefact_cells.push(serde_json::json!({
             "chain": point.chain.name(),
             "theta_permille": point.theta_permille,
             "burst": point.burst,
             "cell": &cell,
-            "contention_baseline": contention_json(&results[2 * i].stats),
-            "contention_altered": contention_json(&results[2 * i + 1].stats),
+            "contention_baseline": contention_json(&baseline.stats),
+            "contention_altered": contention_json(&altered.stats),
         }));
         cells.push(cell);
     }
@@ -186,6 +182,7 @@ fn main() {
         &cells[gi]
     };
     let mut monotone_rows = Vec::new();
+    let mut monotone_chains = Vec::new();
     println!(
         "\nContention sweep — {} sensitivity vs Zipf θ (200 TPS mean)\n{}",
         FAULT.name(),
@@ -225,21 +222,13 @@ fn main() {
                 "burst": burst,
                 "monotone_in_theta": monotone,
             }));
+            if monotone {
+                monotone_chains.push(chain.name());
+            }
         }
     }
-    let monotone_chains: Vec<&str> = Chain::ALL
-        .iter()
-        .filter(|&&chain| {
-            BURSTS.iter().any(|&burst| {
-                let row: Vec<&ReplicatedCell> = THETAS
-                    .iter()
-                    .map(|&theta| cell_at(chain, theta, burst))
-                    .collect();
-                monotone_in_theta(&row)
-            })
-        })
-        .map(|chain| chain.name())
-        .collect();
+    // The loop is chain-major, so a chain's repeats are adjacent.
+    monotone_chains.dedup();
     println!(
         "\nchains degrading monotonically with θ (some burst factor): {}",
         if monotone_chains.is_empty() {
@@ -269,7 +258,7 @@ fn main() {
             .ci
             .as_ref()
             .map_or("".to_owned(), |ci| format!("{:.6}", ci.point));
-        let stats = &results[2 * i + 1].stats;
+        let stats = &per_replicate[0][i].as_pair().1.stats;
         csv.push_str(&format!(
             "{},{},{},{},{},{},{},{},{},{},{}\n",
             point.chain.name(),
@@ -286,7 +275,6 @@ fn main() {
         ));
     }
 
-    std::fs::create_dir_all(opts.out_dir.join("contention")).expect("create contention dir");
     let artefact = serde_json::json!({
         "base_seed": setup.seed,
         "replicates": replicates as u64,

@@ -1,4 +1,4 @@
-//! Extension: the adversary search.
+//! The adversary search.
 //!
 //! The paper measures each chain under four *fixed* failure scenarios.
 //! This extension asks the harder question: what is the worst schedule
@@ -18,127 +18,37 @@
 //! trace, corpus and summary artefacts, whatever `--jobs` or the cache
 //! say.
 //!
-//! Flags beyond the shared ones: `--budget <evals>` (default 200),
+//! Flags read beyond the common ones: `--budget <evals>` (default 200),
 //! `--strategy annealing|mu-lambda`, `--objective
 //! sensitivity|liveness-loss`, `--chain <name>` (repeatable; default
 //! all five), `--replicates <n>` (CI seeds, default 5).
 
-use std::path::PathBuf;
-
-use stabl::{Chain, PaperSetup};
-use stabl_adversary::{shrink, CorpusEntry, Objective, SearchConfig, SearchSpace, Strategy};
-use stabl_bench::{paper_worst, replicate_ci, Engine, EngineEval};
+use stabl::Chain;
+use stabl_adversary::{shrink, CorpusEntry, SearchConfig, SearchSpace, LIVENESS_LOSS_KEY};
 use stabl_stats::SeedSequence;
 
-/// Parsed command line (this binary has search flags the shared
-/// `BenchOpts` parser would reject, so it parses on its own).
-struct Opts {
-    setup: PaperSetup,
-    out_dir: PathBuf,
-    jobs: usize,
-    no_cache: bool,
-    budget: usize,
-    strategy: Strategy,
-    objective: Objective,
-    chains: Vec<Chain>,
-    replicates: usize,
-}
+use crate::{paper_worst, replicate_ci, BenchOpts, EngineEval};
 
-fn parse_chain(name: &str) -> Chain {
-    Chain::ALL
-        .into_iter()
-        .find(|c| c.name().eq_ignore_ascii_case(name))
-        .unwrap_or_else(|| {
-            panic!("unknown chain {name}; known: Algorand Aptos Avalanche Redbelly Solana")
-        })
-}
-
-fn parse_args() -> Opts {
-    let mut setup = PaperSetup::default();
-    let mut quick: Option<u64> = None;
-    let mut seed: Option<u64> = None;
-    let mut opts = Opts {
-        setup: setup.clone(),
-        out_dir: PathBuf::from("results"),
-        jobs: Engine::default_workers(),
-        no_cache: false,
-        budget: 200,
-        strategy: Strategy::Annealing,
-        objective: Objective::Sensitivity,
-        chains: Vec::new(),
-        replicates: 5,
-    };
-    let mut args = std::env::args().skip(1);
-    while let Some(arg) = args.next() {
-        let mut value = |what: &str| args.next().unwrap_or_else(|| panic!("{arg} takes {what}"));
-        match arg.as_str() {
-            "--quick" => quick = Some(value("seconds").parse().expect("--quick takes seconds")),
-            "--seed" => seed = Some(value("a u64").parse().expect("--seed takes a u64")),
-            "--out" => opts.out_dir = PathBuf::from(value("a directory")),
-            "--jobs" => {
-                opts.jobs = value("a positive thread count")
-                    .parse()
-                    .ok()
-                    .filter(|&n: &usize| n > 0)
-                    .expect("--jobs takes a positive thread count");
-            }
-            "--no-cache" => opts.no_cache = true,
-            "--budget" => {
-                opts.budget = value("an eval count")
-                    .parse()
-                    .ok()
-                    .filter(|&n: &usize| n > 1)
-                    .expect("--budget takes an eval count > 1");
-            }
-            "--strategy" => {
-                let name = value("annealing|mu-lambda");
-                opts.strategy = Strategy::parse(&name).unwrap_or_else(|| {
-                    panic!("unknown strategy {name}; known: annealing mu-lambda")
-                });
-            }
-            "--objective" => {
-                let name = value("sensitivity|liveness-loss");
-                opts.objective = Objective::parse(&name).unwrap_or_else(|| {
-                    panic!("unknown objective {name}; known: sensitivity liveness-loss")
-                });
-            }
-            "--chain" => opts.chains.push(parse_chain(&value("a chain name"))),
-            "--replicates" => {
-                opts.replicates = value("a positive seed count")
-                    .parse()
-                    .ok()
-                    .filter(|&n: &usize| n > 0)
-                    .expect("--replicates takes a positive seed count");
-            }
-            other => panic!(
-                "unknown argument {other}; known: --quick --seed --out --jobs --no-cache \
-                 --budget --strategy --objective --chain --replicates"
-            ),
-        }
-    }
-    if let Some(secs) = quick {
-        setup = PaperSetup::quick(secs, seed.unwrap_or(setup.seed));
-    } else if let Some(seed) = seed {
-        setup.seed = seed;
-    }
-    opts.setup = setup;
-    if opts.chains.is_empty() {
-        opts.chains = Chain::ALL.to_vec();
-    }
-    opts
-}
+/// CI seeds per shrunk reproducer unless `--replicates` says otherwise.
+const DEFAULT_REPLICATES: usize = 5;
 
 fn fmt_key(key: f64) -> String {
-    if key >= stabl_adversary::LIVENESS_LOSS_KEY {
-        format!("INF+{:.3}", key - stabl_adversary::LIVENESS_LOSS_KEY)
+    if key >= LIVENESS_LOSS_KEY {
+        format!("INF+{:.3}", key - LIVENESS_LOSS_KEY)
     } else {
         format!("{key:.3}")
     }
 }
 
-fn main() {
-    let opts = parse_args();
+/// Searches, shrinks and replicates every requested chain's worst case.
+pub fn adversary(opts: &BenchOpts) {
     let setup = &opts.setup;
+    let chains = if opts.chains.is_empty() {
+        &Chain::ALL[..]
+    } else {
+        &opts.chains[..]
+    };
+    let replicates = opts.replicates.unwrap_or(DEFAULT_REPLICATES);
     eprintln!(
         "adversary search ({}, budget {}, {} / {})",
         setup.horizon,
@@ -146,14 +56,7 @@ fn main() {
         opts.strategy.name(),
         opts.objective.name()
     );
-    let cache_dir = if opts.no_cache {
-        None
-    } else {
-        Some(opts.out_dir.join(".cache"))
-    };
-    let engine = Engine::new(opts.jobs, cache_dir);
-    let corpus_dir = opts.out_dir.join("adversary").join("corpus");
-    std::fs::create_dir_all(&corpus_dir).expect("create corpus directory");
+    let engine = opts.engine();
 
     struct Row {
         chain: &'static str,
@@ -168,7 +71,7 @@ fn main() {
     let mut rows: Vec<Row> = Vec::new();
     let mut summary = Vec::new();
     let mut traces = Vec::new();
-    for &chain in &opts.chains {
+    for &chain in chains {
         // The chain's index in Chain::ALL keys its search stream, so a
         // --chain subset searches identically to the full sweep.
         let chain_index = Chain::ALL
@@ -205,7 +108,7 @@ fn main() {
             min_key,
             opts.budget.min(100),
         );
-        let ci = replicate_ci(&engine, setup, chain, &shrunk.genome, opts.replicates);
+        let ci = replicate_ci(&engine, setup, chain, &shrunk.genome, replicates);
 
         let entry = CorpusEntry {
             chain: chain.name().to_owned(),
@@ -222,10 +125,7 @@ fn main() {
             ci,
             evals: eval.evals(),
         };
-        let path = corpus_dir.join(entry.file_name());
-        let json = serde_json::to_string_pretty(&entry).expect("serialise corpus entry");
-        std::fs::write(&path, json).expect("write corpus entry");
-        eprintln!("wrote {}", path.display());
+        opts.write_json(&format!("adversary/corpus/{}", entry.file_name()), &entry);
 
         rows.push(Row {
             chain: chain.name(),
@@ -259,19 +159,8 @@ fn main() {
         }));
     }
 
-    let write_json = |name: &str, json: String| {
-        let path = opts.out_dir.join(name);
-        std::fs::write(&path, json).expect("write artefact");
-        eprintln!("wrote {}", path.display());
-    };
-    write_json(
-        "ext_adversary.json",
-        serde_json::to_string_pretty(&summary).expect("serialise summary"),
-    );
-    write_json(
-        "adversary_traces.json",
-        serde_json::to_string_pretty(&traces).expect("serialise traces"),
-    );
+    opts.write_json("ext_adversary.json", &summary);
+    opts.write_json("adversary_traces.json", &traces);
 
     let title = format!(
         "Extension — adversary search vs the paper's scenarios ({})",
@@ -296,6 +185,6 @@ fn main() {
     let beaten = rows.iter().filter(|r| r.beat).count();
     println!(
         "\n{beaten}/{} chains: discovered schedule strictly worse than every paper scenario",
-        opts.chains.len()
+        chains.len()
     );
 }

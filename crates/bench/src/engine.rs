@@ -10,6 +10,10 @@
 //!   with `--jobs N` scoped worker threads; results come back in
 //!   submission order, so report assembly is deterministic regardless
 //!   of completion order.
+//! * **Groups** — a sensitivity score is always a baseline and the
+//!   altered runs compared against it, so campaigns hand the engine
+//!   [`Group`]s of jobs ([`Engine::run_groups`]) and get the results
+//!   back in the same groups; nobody computes slice indices.
 //! * **Memoisation** — each cell is keyed by the SHA-256 of its full
 //!   [`RunConfig`] (Debug form), its CPU-scaling factor, a
 //!   caller-supplied salt for non-config inputs (custom protocol
@@ -60,10 +64,6 @@ pub const CACHE_SCHEMA_VERSION: u32 = 7;
 // (rule S-001/S-002) fails the build when the list drifts from the
 // sources. Adding a name here is the reviewed moment to ask whether
 // CACHE_SCHEMA_VERSION needs a bump.
-// The speed artifact (`ext_speed` → `BENCH_speed.json`) is deliberately
-// outside this surface: it is assembled from untyped `serde_json`
-// values, never passes through the run cache (wall-clock timings must
-// not be memoised), and so adds no `Serialize` types to the manifest.
 // The kernel's internal calendar-queue types (`Agenda`, `MsgArena`,
 // `TimerRegistry`) carry no `Serialize` impls either — the serialised
 // surface (`SimStats`, `RunResult`, …) was unchanged by the kernel
@@ -164,11 +164,6 @@ impl Job {
         )
     }
 
-    /// The display label.
-    pub fn label(&self) -> &str {
-        &self.label
-    }
-
     /// The cache-key material (the hashed cell identity, minus the code
     /// version the engine mixes in).
     pub fn material(&self) -> &str {
@@ -212,21 +207,6 @@ pub fn cache_key(material: &str, code_version: &str) -> String {
     hasher.update(b"\n");
     hasher.update(material.as_bytes());
     hasher.finalize().to_string()
-}
-
-/// What one [`Engine::run_all`] invocation did.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub struct EngineSummary {
-    /// Cells scheduled.
-    pub cells: usize,
-    /// Cells answered from the cache.
-    pub cache_hits: usize,
-    /// Cells actually simulated.
-    pub executed: usize,
-    /// Worker threads used.
-    pub workers: usize,
-    /// Wall-clock time of the whole batch, milliseconds.
-    pub wall_ms: u128,
 }
 
 /// How one cell of a batch was answered: from the cache or by actually
@@ -311,22 +291,7 @@ impl Engine {
 
     /// Runs every job and returns the results in submission order.
     pub fn run(&self, jobs: Vec<Job>) -> Vec<RunResult> {
-        self.run_all(jobs).0
-    }
-
-    /// Runs every job, returning results in submission order plus the
-    /// batch summary, and prints per-cell progress lines and a final
-    /// wall-clock/cache-hit summary to stderr.
-    pub fn run_all(&self, jobs: Vec<Job>) -> (Vec<RunResult>, EngineSummary) {
-        let (results, telemetry) = self.run_with_telemetry(jobs);
-        let summary = EngineSummary {
-            cells: telemetry.cells.len(),
-            cache_hits: telemetry.cache_hits as usize,
-            executed: telemetry.executed as usize,
-            workers: telemetry.workers as usize,
-            wall_ms: u128::from(telemetry.wall_ms),
-        };
-        (results, summary)
+        self.run_with_telemetry(jobs).0
     }
 
     /// Runs every job, returning results in submission order plus full
@@ -414,6 +379,25 @@ impl Engine {
         (results, telemetry)
     }
 
+    /// Runs every job of every group as one batch (each group's
+    /// baseline, then its altered runs) and hands the results back in
+    /// the same groups.
+    pub fn run_groups(&self, groups: Vec<Group<Job>>) -> Vec<Group<RunResult>> {
+        let sizes: Vec<usize> = groups.iter().map(|group| group.altered.len()).collect();
+        let jobs = groups
+            .into_iter()
+            .flat_map(|group| std::iter::once(group.baseline).chain(group.altered))
+            .collect();
+        let mut results = self.run(jobs).into_iter();
+        sizes
+            .into_iter()
+            .map(|altered| Group {
+                baseline: results.next().expect("one result per job"),
+                altered: results.by_ref().take(altered).collect(),
+            })
+            .collect()
+    }
+
     /// Runs (or replays) one job; the flag reports a cache hit.
     fn run_one(&self, job: &Job) -> (RunResult, bool) {
         let path = self.cache_dir.as_ref().map(|dir| {
@@ -432,6 +416,84 @@ impl Engine {
             store_cached(path, &result);
         }
         (result, false)
+    }
+}
+
+/// A baseline and the altered runs scored against it — the unit every
+/// sensitivity score is made of. Campaigns submit `Group<Job>`s and get
+/// `Group<RunResult>`s back ([`Engine::run_groups`]).
+#[derive(Debug)]
+pub struct Group<T> {
+    /// The reference run.
+    pub baseline: T,
+    /// The runs compared against it, in submission order.
+    pub altered: Vec<T>,
+}
+
+impl<T> Group<T> {
+    /// A baseline with any number of altered runs.
+    pub fn new(baseline: T, altered: Vec<T>) -> Group<T> {
+        Group { baseline, altered }
+    }
+
+    /// A baseline with exactly one altered run.
+    pub fn pair(baseline: T, altered: T) -> Group<T> {
+        Group::new(baseline, vec![altered])
+    }
+
+    /// The two members of a [`Group::pair`].
+    ///
+    /// # Panics
+    ///
+    /// Panics if the group does not hold exactly one altered run.
+    pub fn as_pair(&self) -> (&T, &T) {
+        match &self.altered[..] {
+            [altered] => (&self.baseline, altered),
+            other => panic!(
+                "expected a baseline/altered pair, found {} altered runs",
+                other.len()
+            ),
+        }
+    }
+}
+
+impl Group<Job> {
+    /// The pair [`PaperSetup::sensitivity`] would run: `kind`'s reference
+    /// baseline (on the hardware `kind` runs on) and the `kind` run.
+    pub fn scenario(setup: &PaperSetup, chain: Chain, kind: ScenarioKind) -> Group<Job> {
+        Group::pair(
+            Job::scenario_baseline(setup, chain, kind),
+            Job::scenario(setup, chain, kind),
+        )
+    }
+
+    /// [`Group::scenario`] for every chain, in [`Chain::ALL`] order.
+    pub fn scenario_per_chain(setup: &PaperSetup, kind: ScenarioKind) -> Vec<Group<Job>> {
+        Chain::ALL
+            .iter()
+            .map(|&chain| Group::scenario(setup, chain, kind))
+            .collect()
+    }
+}
+
+impl Group<RunResult> {
+    /// The report of a [`Group::pair`]: its altered run scored against
+    /// its baseline.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the group does not hold exactly one altered run.
+    pub fn report(&self, chain: Chain, kind: ScenarioKind) -> ScenarioReport {
+        let (baseline, altered) = self.as_pair();
+        report_from_runs(chain, kind, baseline, altered)
+    }
+
+    /// One report per altered run, each scored against the baseline.
+    pub fn reports(&self, chain: Chain, kind: ScenarioKind) -> Vec<ScenarioReport> {
+        self.altered
+            .iter()
+            .map(|altered| report_from_runs(chain, kind, &self.baseline, altered))
+            .collect()
     }
 }
 
@@ -528,19 +590,10 @@ impl CampaignCell {
 
 /// Runs the complete campaign — every chain × every altered scenario,
 /// reusing each chain's baseline runs — and returns the reports in
-/// deterministic chain-major, scenario-minor order (the same order the
-/// serial implementation produced).
-pub fn run_campaign(engine: &Engine, setup: &PaperSetup) -> Vec<ScenarioReport> {
-    run_campaign_with_telemetry(engine, setup).0
-}
-
-/// [`run_campaign`], also returning the batch's wall-clock telemetry so
-/// binaries can write it as a *separate* artefact (telemetry is
+/// deterministic chain-major, scenario-minor order, plus the batch's
+/// wall-clock telemetry for a *separate* artefact (telemetry is
 /// machine-dependent and must stay out of determinism-gated JSON).
-pub fn run_campaign_with_telemetry(
-    engine: &Engine,
-    setup: &PaperSetup,
-) -> (Vec<ScenarioReport>, EngineTelemetry) {
+pub fn run_campaign(engine: &Engine, setup: &PaperSetup) -> (Vec<ScenarioReport>, EngineTelemetry) {
     let cells = campaign_cells();
     let (results, telemetry) =
         engine.run_with_telemetry(cells.iter().map(|cell| cell.job(setup)).collect());
@@ -563,11 +616,11 @@ pub fn reports_from_campaign_results(results: &[RunResult]) -> Vec<ScenarioRepor
         Chain::ALL.len() * CELLS_PER_CHAIN
     );
     let mut reports = Vec::new();
-    for (i, &chain) in Chain::ALL.iter().enumerate() {
-        let base = &results[i * CELLS_PER_CHAIN];
-        let base_8vcpu = &results[i * CELLS_PER_CHAIN + 1];
-        for (j, kind) in ScenarioKind::ALTERED.into_iter().enumerate() {
-            let altered = &results[i * CELLS_PER_CHAIN + 2 + j];
+    for (&chain, cells) in Chain::ALL.iter().zip(results.chunks(CELLS_PER_CHAIN)) {
+        let [base, base_8vcpu, altered @ ..] = cells else {
+            unreachable!("CELLS_PER_CHAIN covers both baselines");
+        };
+        for (kind, altered) in ScenarioKind::ALTERED.into_iter().zip(altered) {
             let reference = if kind == ScenarioKind::SecureClient {
                 base_8vcpu
             } else {
@@ -582,16 +635,11 @@ pub fn reports_from_campaign_results(results: &[RunResult]) -> Vec<ScenarioRepor
 /// Runs baseline + one altered scenario for every chain and returns the
 /// reports in chain order.
 pub fn run_part(engine: &Engine, setup: &PaperSetup, kind: ScenarioKind) -> Vec<ScenarioReport> {
-    let mut jobs = Vec::new();
-    for &chain in &Chain::ALL {
-        jobs.push(Job::scenario_baseline(setup, chain, kind));
-        jobs.push(Job::scenario(setup, chain, kind));
-    }
-    let results = engine.run(jobs);
+    let groups = engine.run_groups(Group::scenario_per_chain(setup, kind));
     Chain::ALL
         .iter()
-        .enumerate()
-        .map(|(i, &chain)| report_from_runs(chain, kind, &results[2 * i], &results[2 * i + 1]))
+        .zip(&groups)
+        .map(|(&chain, group)| group.report(chain, kind))
         .collect()
 }
 
@@ -726,5 +774,69 @@ mod tests {
             assert_eq!(chunk[5].kind, ScenarioKind::SecureClient);
             assert_eq!(chunk[5].cores, 2.0);
         }
+    }
+
+    /// The flat-slice assembly `run_part` used before groups existed,
+    /// kept as the reference the grouping helper is checked against.
+    fn run_part_by_index(
+        engine: &Engine,
+        setup: &PaperSetup,
+        kind: ScenarioKind,
+    ) -> Vec<ScenarioReport> {
+        let mut jobs = Vec::new();
+        for &chain in &Chain::ALL {
+            jobs.push(Job::scenario_baseline(setup, chain, kind));
+            jobs.push(Job::scenario(setup, chain, kind));
+        }
+        let results = engine.run(jobs);
+        Chain::ALL
+            .iter()
+            .enumerate()
+            .map(|(i, &chain)| report_from_runs(chain, kind, &results[2 * i], &results[2 * i + 1]))
+            .collect()
+    }
+
+    #[test]
+    fn run_part_through_groups_matches_the_indexed_assembly() {
+        let setup = PaperSetup::quick(8, 42);
+        let engine = Engine::new(2, None);
+        for kind in [ScenarioKind::Crash, ScenarioKind::SecureClient] {
+            assert_eq!(
+                run_part(&engine, &setup, kind),
+                run_part_by_index(&engine, &setup, kind),
+                "{kind:?}"
+            );
+        }
+    }
+
+    #[test]
+    fn run_groups_returns_results_in_the_submitted_shape() {
+        let setup = PaperSetup::quick(8, 42);
+        let engine = Engine::new(2, None);
+        let job = |chain, kind| Job::scenario(&setup, chain, kind);
+        let groups = engine.run_groups(vec![
+            Group::new(job(Chain::Aptos, ScenarioKind::Baseline), Vec::new()),
+            Group::new(
+                job(Chain::Solana, ScenarioKind::Baseline),
+                vec![
+                    job(Chain::Solana, ScenarioKind::Crash),
+                    job(Chain::Solana, ScenarioKind::Transient),
+                ],
+            ),
+            Group::scenario(&setup, Chain::Redbelly, ScenarioKind::Crash),
+        ]);
+        let shape: Vec<usize> = groups.iter().map(|group| group.altered.len()).collect();
+        assert_eq!(shape, [0, 2, 1]);
+        let flat = engine.run(vec![
+            job(Chain::Solana, ScenarioKind::Baseline),
+            job(Chain::Solana, ScenarioKind::Transient),
+        ]);
+        let json = |run: &RunResult| serde_json::to_string(run).expect("serialise");
+        assert_eq!(json(&groups[1].baseline), json(&flat[0]));
+        assert_eq!(json(&groups[1].altered[1]), json(&flat[1]));
+        assert_eq!(
+            groups[1].reports(Chain::Solana, ScenarioKind::Crash).len(),
+            2
+        );
     }
 }

@@ -1,26 +1,25 @@
 //! # stabl-bench — the figure-regeneration harness
 //!
-//! One binary per figure of the paper:
+//! One binary, `stabl-bench`, over a registry of campaigns
+//! ([`campaigns::REGISTRY`]): every figure of the paper and every
+//! extension is a row naming the files it writes and the flags that
+//! reproduce the committed copy under `results/`.
 //!
-//! | Binary | Regenerates |
+//! ```text
+//! stabl-bench list                     # the registry, as a table
+//! stabl-bench <campaign> [flags]       # one campaign
+//! stabl-bench all --out DIR            # every committed artifact
+//! ```
+//!
+//! | Module | Holds |
 //! |---|---|
-//! | `fig1_aptos_ecdf` | Fig. 1 — Aptos latency eCDFs, baseline vs failures |
-//! | `fig3_sensitivity` | Fig. 3a–d — sensitivity scores of the 5 chains per fault type |
-//! | `fig3_sensitivity_ci` | Fig. 3 replicated over N seeds with 95 % bootstrap CIs |
-//! | `fig4_throughput_crash` | Fig. 4 — throughput over time under `f = t` crashes |
-//! | `fig5_throughput_transient` | Fig. 5 — throughput over time under transient failures |
-//! | `fig6_throughput_partition` | Fig. 6 — throughput over time under a partition |
-//! | `fig7_radar` | Fig. 7 — the radar synthesis of all sensitivities |
+//! | [`campaigns`] | the registry, `list`/`all`, and one function per campaign |
+//! | [`engine`] | the worker pool, the content-addressed run cache, [`Group`] |
+//! | [`replicate`] | the campaign fanned out over N seeds with bootstrap CIs |
+//! | [`adversary`] | the adversary search bridged onto the engine |
+//! | [`speed_bench`] | kernel workloads the host-time benchmark (`benchmark/`) drives |
 //!
-//! Extension binaries (`ext_*`) go beyond the paper; notably
-//! `ext_chaos` scores every chain under a *composed* adversity
-//! schedule — message loss, a flapping asymmetric partition, a slow
-//! node and an equivocating Byzantine node — with retrying clients,
-//! and `ext_adversary` *searches* the fault-schedule space for each
-//! chain's worst case (see the [`adversary`] bridge module) and
-//! commits shrunk reproducers under `results/adversary/corpus/`.
-//!
-//! Every binary accepts:
+//! Every campaign accepts:
 //!
 //! * `--quick <secs>` — scale the 400 s campaign down (useful: 100–150);
 //! * `--seed <u64>` — change the master seed;
@@ -29,8 +28,11 @@
 //!   all hardware threads);
 //! * `--no-cache` — recompute every cell instead of replaying the
 //!   content-addressed cache under `<out>/.cache/`;
-//! * `--replicates <n>` — seeds per cell for replicated campaigns (only
-//!   the `*_ci` binaries read it; default 8).
+//! * `--replicates <n>` — seeds per cell for the replicated campaigns
+//!   (`fig3_sensitivity_ci`: 8, `ext_contention`: 3, `ext_adversary`: 5);
+//! * `--budget <evals>`, `--strategy annealing|mu-lambda`, `--objective
+//!   sensitivity|liveness-loss`, `--chain <name>` (repeatable) — read by
+//!   `ext_adversary` only.
 //!
 //! All runs go through the campaign [`engine`]: cells execute
 //! concurrently and memoise their results, but artefacts are assembled
@@ -38,27 +40,25 @@
 //! whatever the `--jobs`/cache settings.
 
 pub mod adversary;
+pub mod campaigns;
 pub mod engine;
 pub mod replicate;
 pub mod speed_bench;
 
 use std::fs;
-use std::path::{Path, PathBuf};
+use std::path::PathBuf;
 
 pub use adversary::{paper_worst, replicate_ci, EngineEval};
 pub use engine::{
-    run_campaign, run_campaign_with_telemetry, run_part, CampaignCell, CellTelemetry, Engine,
-    EngineSummary, EngineTelemetry, Job,
+    run_campaign, run_part, CampaignCell, CellTelemetry, Engine, EngineTelemetry, Group, Job,
 };
-pub use replicate::{
-    replication_table, run_replicated_campaign, run_replicated_campaign_with_telemetry,
-    DEFAULT_REPLICATES,
-};
+pub use replicate::{replication_table, run_replicated_campaign, DEFAULT_REPLICATES};
 
 use stabl::report::{RadarRow, ScenarioReport, SensitivityRecord};
 use stabl::{Chain, PaperSetup, RunResult, ScenarioKind};
+use stabl_adversary::{Objective, Strategy};
 
-/// Command-line options shared by all figure binaries.
+/// Command-line options shared by all campaigns.
 #[derive(Clone, Debug)]
 pub struct BenchOpts {
     /// The experimental campaign parameters.
@@ -70,78 +70,117 @@ pub struct BenchOpts {
     /// Skip the on-disk run cache and recompute every cell.
     pub no_cache: bool,
     /// Seeds per cell for replicated campaigns (`--replicates`); `None`
-    /// leaves the binary's default in force.
+    /// leaves the campaign's default in force.
     pub replicates: Option<usize>,
+    /// Adversary search: evaluations per chain (`--budget`).
+    pub budget: usize,
+    /// Adversary search: the search strategy (`--strategy`).
+    pub strategy: Strategy,
+    /// Adversary search: what the search maximises (`--objective`).
+    pub objective: Objective,
+    /// Adversary search: the chains to attack (`--chain`, repeatable);
+    /// empty means all five.
+    pub chains: Vec<Chain>,
+    /// The two arguments that are not flags: `dbg_scenario <chain>
+    /// <scenario>`.
+    pub scenario: Option<(Chain, ScenarioKind)>,
+}
+
+/// The flags [`BenchOpts::parse`] knows, for its error messages.
+const KNOWN_FLAGS: &str = "--quick --seed --out --jobs --no-cache --replicates --budget \
+                           --strategy --objective --chain";
+
+/// Parses the value of `flag`, naming the flag and what it takes on failure.
+fn parsed<T: std::str::FromStr>(flag: &str, what: &str, value: &str) -> Result<T, String> {
+    value
+        .parse()
+        .map_err(|_| format!("{flag} takes {what}, got {value}"))
+}
+
+/// [`parsed`] for counts that must be at least `min`.
+fn count(flag: &str, what: &str, value: &str, min: usize) -> Result<usize, String> {
+    match value.parse() {
+        Ok(n) if n >= min => Ok(n),
+        _ => Err(format!("{flag} takes {what}, got {value}")),
+    }
 }
 
 impl BenchOpts {
-    /// Parses `std::env::args()`.
+    /// Parses a campaign's arguments (everything after its name).
     ///
-    /// # Panics
+    /// # Errors
     ///
-    /// Panics with a usage message on malformed arguments.
-    pub fn from_args() -> BenchOpts {
-        let mut setup = PaperSetup::default();
-        let mut out_dir = PathBuf::from("results");
-        let mut args = std::env::args().skip(1);
+    /// A message naming the offending flag (and the known set, for an
+    /// unknown one) on malformed arguments.
+    pub fn parse(args: impl IntoIterator<Item = String>) -> Result<BenchOpts, String> {
+        let mut opts = BenchOpts {
+            setup: PaperSetup::default(),
+            out_dir: PathBuf::from("results"),
+            jobs: Engine::default_workers(),
+            no_cache: false,
+            replicates: None,
+            budget: 200,
+            strategy: Strategy::Annealing,
+            objective: Objective::Sensitivity,
+            chains: Vec::new(),
+            scenario: None,
+        };
+        let mut operands = Vec::new();
         let mut quick: Option<u64> = None;
         let mut seed: Option<u64> = None;
-        let mut jobs = Engine::default_workers();
-        let mut no_cache = false;
-        let mut replicates: Option<usize> = None;
+        let mut args = args.into_iter();
         while let Some(arg) = args.next() {
+            let mut value = |what: &str| {
+                args.next()
+                    .ok_or_else(|| format!("{arg} takes {what}, got nothing"))
+            };
             match arg.as_str() {
-                "--quick" => {
-                    let secs = args
-                        .next()
-                        .and_then(|v| v.parse().ok())
-                        .expect("--quick takes seconds");
-                    quick = Some(secs);
-                }
-                "--seed" => {
-                    seed = Some(
-                        args.next()
-                            .and_then(|v| v.parse().ok())
-                            .expect("--seed takes a u64"),
-                    );
-                }
-                "--out" => {
-                    out_dir = PathBuf::from(args.next().expect("--out takes a directory"));
-                }
+                "--quick" => quick = Some(parsed(&arg, "seconds", &value("seconds")?)?),
+                "--seed" => seed = Some(parsed(&arg, "a u64", &value("a u64")?)?),
+                "--out" => opts.out_dir = PathBuf::from(value("a directory")?),
                 "--jobs" => {
-                    jobs = args
-                        .next()
-                        .and_then(|v| v.parse().ok())
-                        .filter(|&n: &usize| n > 0)
-                        .expect("--jobs takes a positive thread count");
+                    let what = "a positive thread count";
+                    opts.jobs = count(&arg, what, &value(what)?, 1)?;
                 }
-                "--no-cache" => no_cache = true,
+                "--no-cache" => opts.no_cache = true,
                 "--replicates" => {
-                    replicates = Some(
-                        args.next()
-                            .and_then(|v| v.parse().ok())
-                            .filter(|&n: &usize| n > 0)
-                            .expect("--replicates takes a positive seed count"),
-                    );
+                    let what = "a positive seed count";
+                    opts.replicates = Some(count(&arg, what, &value(what)?, 1)?);
                 }
-                other => panic!(
-                    "unknown argument {other}; known: --quick --seed --out --jobs \
-                     --no-cache --replicates"
-                ),
+                "--budget" => {
+                    let what = "an eval count > 1";
+                    opts.budget = count(&arg, what, &value(what)?, 2)?;
+                }
+                "--strategy" => {
+                    let name = value("annealing|mu-lambda")?;
+                    opts.strategy = Strategy::parse(&name).ok_or_else(|| {
+                        format!("unknown strategy {name}; known: annealing mu-lambda")
+                    })?;
+                }
+                "--objective" => {
+                    let name = value("sensitivity|liveness-loss")?;
+                    opts.objective = Objective::parse(&name).ok_or_else(|| {
+                        format!("unknown objective {name}; known: sensitivity liveness-loss")
+                    })?;
+                }
+                "--chain" => opts.chains.push(value("a chain name")?.parse()?),
+                flag if flag.starts_with("--") => {
+                    return Err(format!("unknown argument {flag}; known: {KNOWN_FLAGS}"));
+                }
+                _ => operands.push(arg),
             }
         }
         if let Some(secs) = quick {
-            setup = PaperSetup::quick(secs, seed.unwrap_or(setup.seed));
+            opts.setup = PaperSetup::quick(secs, seed.unwrap_or(opts.setup.seed));
         } else if let Some(seed) = seed {
-            setup.seed = seed;
+            opts.setup.seed = seed;
         }
-        BenchOpts {
-            setup,
-            out_dir,
-            jobs,
-            no_cache,
-            replicates,
-        }
+        opts.scenario = match &operands[..] {
+            [] => None,
+            [chain, scenario] => Some((chain.parse()?, scenario.parse()?)),
+            _ => return Err(format!("expected <chain> <scenario>, got {operands:?}")),
+        };
+        Ok(opts)
     }
 
     /// The campaign engine these options describe: `--jobs` workers,
@@ -160,24 +199,23 @@ impl BenchOpts {
     ///
     /// # Panics
     ///
-    /// Panics on I/O failure (benchmark binaries fail loudly).
+    /// Panics on I/O failure (campaigns fail loudly).
     pub fn write_json<T: serde::Serialize>(&self, name: &str, value: &T) {
-        fs::create_dir_all(&self.out_dir).expect("create output directory");
-        let path = self.out_dir.join(name);
         let json = serde_json::to_string_pretty(value).expect("serialise artefact");
-        fs::write(&path, json).expect("write artefact");
-        eprintln!("wrote {}", path.display());
+        self.write_text(name, &json);
     }
 
-    /// Writes raw text (CSV) under the output directory.
+    /// Writes raw text (CSV, HTML, JSON Lines) under the output
+    /// directory, creating the sub-directories `name` goes through.
     ///
     /// # Panics
     ///
     /// Panics on I/O failure.
     pub fn write_text(&self, name: &str, contents: &str) {
-        fs::create_dir_all(&self.out_dir).expect("create output directory");
-        let path: &Path = &self.out_dir.join(name);
-        fs::write(path, contents).expect("write artefact");
+        let path = self.out_dir.join(name);
+        let dir = path.parent().expect("artefact names are relative files");
+        fs::create_dir_all(dir).expect("create output directory");
+        fs::write(&path, contents).expect("write artefact");
         eprintln!("wrote {}", path.display());
     }
 }
@@ -236,4 +274,103 @@ pub fn sensitivity_table(title: &str, reports: &[ScenarioReport]) -> String {
         ));
     }
     out
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn parse(line: &str) -> Result<BenchOpts, String> {
+        BenchOpts::parse(line.split_whitespace().map(str::to_owned))
+    }
+
+    #[test]
+    fn no_flags_means_the_paper_campaign() {
+        let opts = parse("").expect("defaults");
+        let paper = PaperSetup::default();
+        assert_eq!(opts.setup.horizon, paper.horizon);
+        assert_eq!(opts.setup.seed, paper.seed);
+        assert_eq!(opts.out_dir, PathBuf::from("results"));
+        assert_eq!(opts.jobs, Engine::default_workers());
+        assert!(!opts.no_cache);
+        assert_eq!(opts.replicates, None);
+        assert_eq!(opts.budget, 200);
+        assert_eq!(opts.strategy, Strategy::Annealing);
+        assert_eq!(opts.objective, Objective::Sensitivity);
+        assert!(opts.chains.is_empty() && opts.scenario.is_none());
+        assert_eq!(
+            opts.engine().cache_dir(),
+            Some(PathBuf::from("results/.cache").as_path())
+        );
+    }
+
+    #[test]
+    fn every_flag_lands_in_its_field() {
+        let opts = parse(
+            "--quick 60 --seed 42 --out elsewhere --jobs 3 --no-cache --replicates 4 --budget 25 \
+             --strategy mu-lambda --objective liveness-loss --chain redbelly --chain Solana",
+        )
+        .expect("well-formed flags");
+        let quick = PaperSetup::quick(60, 42);
+        assert_eq!(opts.setup.horizon, quick.horizon);
+        assert_eq!(opts.setup.fault_at, quick.fault_at);
+        assert_eq!(opts.setup.seed, 42);
+        assert_eq!(opts.out_dir, PathBuf::from("elsewhere"));
+        assert_eq!(opts.jobs, 3);
+        assert!(opts.no_cache && opts.engine().cache_dir().is_none());
+        assert_eq!(opts.replicates, Some(4));
+        assert_eq!(opts.budget, 25);
+        assert_eq!(opts.strategy, Strategy::MuPlusLambda);
+        assert_eq!(opts.objective, Objective::LivenessLoss);
+        assert_eq!(opts.chains, [Chain::Redbelly, Chain::Solana]);
+    }
+
+    #[test]
+    fn seed_without_quick_keeps_the_full_horizon() {
+        let opts = parse("--seed 7").expect("well-formed flags");
+        assert_eq!(opts.setup.seed, 7);
+        assert_eq!(opts.setup.horizon, PaperSetup::default().horizon);
+    }
+
+    #[test]
+    fn a_repeated_flag_takes_its_last_value() {
+        // `stabl-bench all` relies on this: user flags follow the row's.
+        let opts = parse("--quick 60 --seed 42 --quick 8").expect("flags");
+        assert_eq!(opts.setup.horizon, PaperSetup::quick(8, 42).horizon);
+        assert_eq!(opts.setup.seed, 42);
+    }
+
+    #[test]
+    fn the_two_operands_are_a_chain_and_a_scenario() {
+        let opts = parse("redbelly --quick 20 secure").expect("operands");
+        assert_eq!(
+            opts.scenario,
+            Some((Chain::Redbelly, ScenarioKind::SecureClient))
+        );
+    }
+
+    #[test]
+    fn malformed_arguments_are_errors_naming_the_flag() {
+        for (line, needle) in [
+            ("--jobs 0", "--jobs takes a positive thread count"),
+            ("--jobs many", "--jobs takes a positive thread count"),
+            ("--replicates 0", "--replicates takes a positive seed count"),
+            ("--budget 1", "--budget takes an eval count > 1"),
+            ("--quick", "--quick takes seconds, got nothing"),
+            ("--quick soon", "--quick takes seconds, got soon"),
+            ("--seed -1", "--seed takes a u64"),
+            ("--out", "--out takes a directory"),
+            ("--strategy hill-climb", "known: annealing mu-lambda"),
+            ("--objective chaos", "known: sensitivity liveness-loss"),
+            ("--chain bitcoin", "known: Algorand Aptos"),
+            ("--reps 3", "unknown argument --reps; known: --quick --seed"),
+            ("redbelly", "expected <chain> <scenario>"),
+            ("redbelly crash again", "expected <chain> <scenario>"),
+            ("bitcoin crash", "unknown chain bitcoin"),
+            ("redbelly meteor", "unknown scenario meteor"),
+        ] {
+            let err = parse(line).expect_err("malformed");
+            assert!(err.contains(needle), "{line}: {err}");
+        }
+    }
 }

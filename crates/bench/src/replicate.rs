@@ -11,14 +11,12 @@
 //! cache state.
 
 use stabl::report::{ScenarioReport, SensitivityRecord};
-use stabl::{Chain, PaperSetup, ScenarioKind};
+use stabl::PaperSetup;
 use stabl_stats::{CellObservation, ReplicatedCampaign, ReplicatedCell, SeedSequence};
 
-use crate::engine::{
-    campaign_cells, reports_from_campaign_results, Engine, EngineTelemetry, CELLS_PER_CHAIN,
-};
+use crate::engine::{campaign_cells, reports_from_campaign_results, Engine, EngineTelemetry};
 
-/// Default replicate count for the CI-bearing figure binaries: 8 seeds
+/// Default replicate count for the CI-bearing figure campaigns: 8 seeds
 /// keeps the quick campaign in CI budget while giving the bootstrap
 /// enough spread to resolve a 95 % interval.
 pub const DEFAULT_REPLICATES: usize = 8;
@@ -35,22 +33,13 @@ fn commit_ratio(report: &ScenarioReport) -> f64 {
 }
 
 /// Runs the campaign at `replicates` seeds and folds each (chain,
-/// scenario) cell into a replicated summary.
-pub fn run_replicated_campaign(
-    engine: &Engine,
-    setup: &PaperSetup,
-    replicates: usize,
-) -> ReplicatedCampaign {
-    run_replicated_campaign_with_telemetry(engine, setup, replicates).0
-}
-
-/// [`run_replicated_campaign`], also returning the batch's wall-clock
-/// telemetry (machine-dependent, for a *separate* artefact).
+/// scenario) cell into a replicated summary; also returns the batch's
+/// wall-clock telemetry (machine-dependent, for a *separate* artefact).
 ///
 /// # Panics
 ///
 /// Panics if `replicates` is zero.
-pub fn run_replicated_campaign_with_telemetry(
+pub fn run_replicated_campaign(
     engine: &Engine,
     setup: &PaperSetup,
     replicates: usize,
@@ -72,21 +61,19 @@ pub fn run_replicated_campaign_with_telemetry(
     }
     let (results, telemetry) = engine.run_with_telemetry(jobs);
 
-    // Per-replicate report assembly, then a per-cell fold across seeds.
+    // Per-replicate report assembly, then a per-cell fold across seeds:
+    // every replicate's reports come in the same (chain, scenario) order.
     let per_seed: Vec<Vec<ScenarioReport>> = results
         .chunks(cells.len())
         .map(reports_from_campaign_results)
         .collect();
-    let reports_per_chain = CELLS_PER_CHAIN - 2; // the four altered scenarios
-    let mut folded = Vec::with_capacity(Chain::ALL.len() * reports_per_chain);
-    for (i, &chain) in Chain::ALL.iter().enumerate() {
-        for (j, kind) in ScenarioKind::ALTERED.into_iter().enumerate() {
-            let index = i * reports_per_chain + j;
+    let folded = (0..per_seed[0].len())
+        .map(|cell| {
             let observations: Vec<CellObservation> = per_seed
                 .iter()
                 .zip(&setups)
                 .map(|(reports, replicate_setup)| {
-                    let report = &reports[index];
+                    let report = &reports[cell];
                     let record: SensitivityRecord = report.sensitivity.into();
                     CellObservation {
                         seed: replicate_setup.seed,
@@ -97,14 +84,15 @@ pub fn run_replicated_campaign_with_telemetry(
                     }
                 })
                 .collect();
-            folded.push(ReplicatedCell::from_observations(
-                chain.name(),
-                kind.name(),
+            let first = &per_seed[0][cell];
+            ReplicatedCell::from_observations(
+                first.chain.name(),
+                first.kind.name(),
                 &observations,
                 setup.seed,
-            ));
-        }
-    }
+            )
+        })
+        .collect();
     let campaign = ReplicatedCampaign {
         base_seed: setup.seed,
         replicates: replicates as u64,
@@ -151,6 +139,7 @@ pub fn replication_table(title: &str, campaign: &ReplicatedCampaign) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use stabl::{Chain, ScenarioKind};
 
     /// A tiny end-to-end replication: 2 seeds over the quickest
     /// campaign the harness supports, twice, byte-identical.
@@ -158,8 +147,8 @@ mod tests {
     fn replicated_campaign_is_deterministic() {
         let setup = PaperSetup::quick(8, 42);
         let engine = Engine::new(2, None);
-        let a = run_replicated_campaign(&engine, &setup, 2);
-        let b = run_replicated_campaign(&engine, &setup, 2);
+        let (a, _) = run_replicated_campaign(&engine, &setup, 2);
+        let (b, _) = run_replicated_campaign(&engine, &setup, 2);
         let ja = serde_json::to_string(&a).expect("serialise");
         let jb = serde_json::to_string(&b).expect("serialise");
         assert_eq!(ja, jb, "replication must replay byte-identically");
@@ -186,8 +175,8 @@ mod tests {
     fn single_replicate_matches_unreplicated_campaign() {
         let setup = PaperSetup::quick(8, 42);
         let engine = Engine::new(2, None);
-        let replicated = run_replicated_campaign(&engine, &setup, 1);
-        let reports = crate::engine::run_campaign(&engine, &setup);
+        let (replicated, _) = run_replicated_campaign(&engine, &setup, 1);
+        let (reports, _) = crate::engine::run_campaign(&engine, &setup);
         for (cell, report) in replicated.cells.iter().zip(&reports) {
             assert_eq!(cell.chain, report.chain.name());
             assert_eq!(cell.scenario, report.kind.name());

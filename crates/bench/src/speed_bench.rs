@@ -1,9 +1,10 @@
-//! Shared workloads behind the kernel speed benchmarks.
+//! Kernel-stressing workloads for the host-time benchmark.
 //!
-//! Both the criterion suite (`benches/kernel.rs`) and the speed-artifact
-//! binary (`ext_speed`) run exactly these workloads, so the numbers in
-//! `BENCH_speed.json` describe the same code paths the microbenchmarks
-//! measure.
+//! Nothing in this workspace runs them: `benchmark/src/micro.rs` (the
+//! repo's one measuring path, see `benchmark/README.md`) imports these
+//! protocols and agenda drivers for its `sim.*` per-layer metrics, and
+//! that crate may only use what the product crates export. The tests
+//! below keep them doing what the benchmark assumes.
 
 use stabl_sim::{Agenda, Ctx, DetRng, NodeId, Protocol, SimDuration};
 

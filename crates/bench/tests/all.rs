@@ -1,0 +1,69 @@
+//! `stabl-bench all`, end to end through the binary: every campaign
+//! with a committed artifact, scaled down, twice — serial and parallel —
+//! into two directories that must hold the same bytes.
+
+mod common;
+
+use std::fs;
+use std::path::Path;
+use std::process::Command;
+
+use common::files_under;
+use stabl_bench::campaigns::REGISTRY;
+
+/// Runs `all --quick 20` into `out` and lists what it wrote (the run
+/// cache and wall-clock telemetry aside).
+fn run_all(jobs: &str, out: &Path) -> Vec<String> {
+    let _ = fs::remove_dir_all(out);
+    // Figs. 4–6 report fixed 5-second margins, so 20 s is the shortest
+    // horizon every campaign accepts.
+    let output = Command::new(env!("CARGO_BIN_EXE_stabl-bench"))
+        .args(["all", "--quick", "20", "--jobs", jobs, "--out"])
+        .arg(out)
+        .output()
+        .expect("stabl-bench runs");
+    assert!(
+        output.status.success(),
+        "all --jobs {jobs} failed:\n{}",
+        String::from_utf8_lossy(&output.stderr)
+    );
+    let mut written = files_under(out, &[".cache"]);
+    written.retain(|path| !path.contains("telemetry"));
+    written
+}
+
+#[test]
+#[cfg_attr(
+    debug_assertions,
+    ignore = "simulates ~5 000 cells: minutes unoptimised; CI runs it with --release"
+)]
+fn all_writes_every_claimed_artifact_identically_for_any_jobs() {
+    let scratch = std::env::temp_dir().join(format!("stabl-bench-all-{}", std::process::id()));
+    let (serial_dir, parallel_dir) = (scratch.join("serial"), scratch.join("parallel"));
+    let (serial, parallel) = std::thread::scope(|scope| {
+        let serial = scope.spawn(|| run_all("1", &serial_dir));
+        let parallel = run_all("2", &parallel_dir);
+        (serial.join().expect("serial run"), parallel)
+    });
+    assert_eq!(serial, parallel);
+    for path in &serial {
+        let read = |dir: &Path| fs::read(dir.join(path)).expect("readable artifact");
+        assert!(
+            read(&serial_dir) == read(&parallel_dir),
+            "{path} differs between --jobs 1 and --jobs 2"
+        );
+    }
+    let _ = fs::remove_dir_all(&scratch);
+
+    // The registry's `artifacts` column against what actually got
+    // written — including the 25 diagnoses, whose five corpus cells
+    // exist only because the adversary search ran first.
+    let mut claimed: Vec<String> = REGISTRY
+        .iter()
+        .filter(|campaign| campaign.committed_with.is_some())
+        .flat_map(|campaign| campaign.artifact_paths())
+        .filter(|path| !path.contains("telemetry"))
+        .collect();
+    claimed.sort();
+    assert_eq!(claimed, serial);
+}

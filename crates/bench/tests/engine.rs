@@ -26,11 +26,11 @@ fn campaign(engine: &Engine, setup: &PaperSetup) -> Vec<ScenarioReport> {
     let per_chain = stabl_bench::engine::CELLS_PER_CHAIN;
     let results = engine.run(cells.iter().map(|cell| cell.job(setup)).collect());
     let mut reports = Vec::new();
-    for (i, &chain) in CHAINS.iter().enumerate() {
-        let base = &results[i * per_chain];
-        let base_8vcpu = &results[i * per_chain + 1];
-        for (j, kind) in ScenarioKind::ALTERED.into_iter().enumerate() {
-            let altered = &results[i * per_chain + 2 + j];
+    for (&chain, cells) in CHAINS.iter().zip(results.chunks(per_chain)) {
+        let [base, base_8vcpu, altered @ ..] = cells else {
+            unreachable!("both baselines precede the altered cells");
+        };
+        for (kind, altered) in ScenarioKind::ALTERED.into_iter().zip(altered) {
             let reference = if kind == ScenarioKind::SecureClient {
                 base_8vcpu
             } else {
@@ -82,14 +82,14 @@ fn warm_cache_replays_without_running() {
             .map(|&chain| Job::scenario(&setup, chain, ScenarioKind::Crash))
             .collect::<Vec<Job>>()
     };
-    let (cold, cold_summary) = engine.run_all(jobs());
+    let (cold, cold_summary) = engine.run_with_telemetry(jobs());
     assert_eq!(cold_summary.cache_hits, 0);
-    assert_eq!(cold_summary.executed, CHAINS.len());
+    assert_eq!(cold_summary.executed, CHAINS.len() as u64);
 
-    let (warm, warm_summary) = engine.run_all(jobs());
+    let (warm, warm_summary) = engine.run_with_telemetry(jobs());
     assert_eq!(
         warm_summary.cache_hits,
-        CHAINS.len(),
+        CHAINS.len() as u64,
         "second pass must be 100% cached"
     );
     assert_eq!(warm_summary.executed, 0);
@@ -111,12 +111,12 @@ fn corrupt_cache_entries_are_recomputed() {
     let setup = quick_setup();
     let engine = Engine::new(1, Some(scratch.0.clone()));
     let job = || vec![Job::scenario(&setup, Chain::Solana, ScenarioKind::Baseline)];
-    let (fresh, _) = engine.run_all(job());
+    let fresh = engine.run(job());
     // Truncate every cache entry; the engine must fall back to running.
     for entry in fs::read_dir(&scratch.0).expect("cache dir") {
         fs::write(entry.expect("entry").path(), "{not json").expect("corrupt");
     }
-    let (recomputed, summary) = engine.run_all(job());
+    let (recomputed, summary) = engine.run_with_telemetry(job());
     assert_eq!(
         summary.cache_hits, 0,
         "corrupt entries must not count as hits"

@@ -34,23 +34,6 @@ OPTIONS:
     --nodes N   validators (default 10)
 ";
 
-fn parse_chain(name: &str) -> Option<Chain> {
-    Chain::ALL
-        .into_iter()
-        .find(|c| c.name().eq_ignore_ascii_case(name))
-}
-
-fn parse_scenario(name: &str) -> Option<ScenarioKind> {
-    match name {
-        "crash" => Some(ScenarioKind::Crash),
-        "transient" => Some(ScenarioKind::Transient),
-        "partition" => Some(ScenarioKind::Partition),
-        "secure" | "secure-client" => Some(ScenarioKind::SecureClient),
-        "baseline" => Some(ScenarioKind::Baseline),
-        _ => None,
-    }
-}
-
 struct Options {
     setup: PaperSetup,
     positional: Vec<String>,
@@ -120,8 +103,8 @@ fn cmd_run(options: &Options) -> Result<(), String> {
     let [chain, scenario] = &options.positional[..] else {
         return Err("run takes <chain> <scenario>".into());
     };
-    let chain = parse_chain(chain).ok_or_else(|| format!("unknown chain {chain}"))?;
-    let kind = parse_scenario(scenario).ok_or_else(|| format!("unknown scenario {scenario}"))?;
+    let chain: Chain = chain.parse()?;
+    let kind: ScenarioKind = scenario.parse()?;
     if kind == ScenarioKind::Baseline {
         let result = options.setup.run(chain, kind);
         println!("{}", stabl::report::RunSummary::of(&result));
@@ -137,7 +120,7 @@ fn cmd_compare(options: &Options) -> Result<(), String> {
     let [chain] = &options.positional[..] else {
         return Err("compare takes <chain>".into());
     };
-    let chain = parse_chain(chain).ok_or_else(|| format!("unknown chain {chain}"))?;
+    let chain: Chain = chain.parse()?;
     for kind in ScenarioKind::ALTERED {
         eprintln!("running {} {} …", chain.name(), kind.name());
         println!("{}", options.setup.sensitivity(chain, kind));

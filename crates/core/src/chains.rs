@@ -1,6 +1,7 @@
 //! The five studied blockchains behind one dispatching interface.
 
 use std::fmt;
+use std::str::FromStr;
 
 use crate::harness::{run_protocol_traced, RunConfig, RunResult, TracedRun};
 use stabl_algorand::{AlgorandConfig, AlgorandNode};
@@ -143,6 +144,20 @@ impl fmt::Display for Chain {
     }
 }
 
+/// Parses [`Chain::name`], ignoring ASCII case.
+impl FromStr for Chain {
+    type Err = String;
+
+    fn from_str(name: &str) -> Result<Chain, String> {
+        Chain::ALL
+            .into_iter()
+            .find(|chain| chain.name().eq_ignore_ascii_case(name))
+            .ok_or_else(|| {
+                format!("unknown chain {name}; known: Algorand Aptos Avalanche Redbelly Solana")
+            })
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -159,6 +174,17 @@ mod tests {
         // client replicates to.
         let max_t = Chain::ALL.iter().map(|c| c.tolerated_faults(10)).max();
         assert_eq!(max_t, Some(3));
+    }
+
+    #[test]
+    fn from_str_round_trips_names_case_insensitively() {
+        for chain in Chain::ALL {
+            assert_eq!(chain.name().parse(), Ok(chain));
+            assert_eq!(chain.name().to_lowercase().parse(), Ok(chain));
+            assert_eq!(chain.name().to_uppercase().parse(), Ok(chain));
+        }
+        let err = "bitcoin".parse::<Chain>().expect_err("not a studied chain");
+        assert!(err.contains("bitcoin") && err.contains("Redbelly"), "{err}");
     }
 
     #[test]

@@ -115,7 +115,7 @@ impl ClientMode {
 /// the front-node ring, up to `max_retries` resubmissions; after that
 /// the client gives up on the transaction (counted, not silently
 /// dropped).
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq, serde::Serialize, serde::Deserialize)]
 pub struct RetryPolicy {
     /// How long the client waits for resolution before each retry.
     pub timeout: SimDuration,
@@ -155,45 +155,6 @@ impl RetryPolicy {
                 .min(cap);
         }
         SimDuration::from_micros(wait)
-    }
-}
-
-mod serde_impls {
-    use serde::{Content, DeError, Deserialize, Serialize};
-
-    use super::RetryPolicy;
-
-    impl Serialize for RetryPolicy {
-        fn to_content(&self) -> Content {
-            Content::Map(vec![
-                ("timeout".to_owned(), self.timeout.to_content()),
-                (
-                    "max_retries".to_owned(),
-                    Content::U64(u64::from(self.max_retries)),
-                ),
-                ("backoff_base".to_owned(), self.backoff_base.to_content()),
-                (
-                    "backoff_factor_permille".to_owned(),
-                    Content::U64(u64::from(self.backoff_factor_permille)),
-                ),
-                ("backoff_cap".to_owned(), self.backoff_cap.to_content()),
-            ])
-        }
-    }
-
-    impl Deserialize for RetryPolicy {
-        fn from_content(content: &Content) -> Result<RetryPolicy, DeError> {
-            Ok(RetryPolicy {
-                timeout: serde::__private::field(content, "timeout")?,
-                max_retries: serde::__private::field(content, "max_retries")?,
-                backoff_base: serde::__private::field(content, "backoff_base")?,
-                backoff_factor_permille: serde::__private::field(
-                    content,
-                    "backoff_factor_permille",
-                )?,
-                backoff_cap: serde::__private::field(content, "backoff_cap")?,
-            })
-        }
     }
 }
 

@@ -1,4 +1,4 @@
-//! Fault plans and composable fault schedules: what Stabl's observer
+//! Composable fault schedules: what Stabl's observer
 //! processes inject and when.
 //!
 //! Terminology follows the paper's Table 1:
@@ -10,13 +10,14 @@
 //! * **Partition** — a communication failure between subsets of nodes
 //!   (the observer installs netfilter drop rules, later removed).
 //!
-//! A [`FaultPlan`] names one such scenario; a [`FaultSchedule`] is an
-//! ordered list of timed [`FaultAction`]s, so message-level degradation
-//! ([`FaultAction::LinkDegrade`]), slowdowns and whole-node faults
-//! compose in a single run — the combinations real outages are made of.
+//! A [`FaultSchedule`] is an ordered list of timed [`FaultAction`]s, so
+//! message-level degradation ([`FaultAction::LinkDegrade`]), slowdowns
+//! and whole-node faults compose in a single run — the combinations
+//! real outages are made of; each of the paper's scenarios is a
+//! one-action schedule ([`FaultSchedule::crash`] and friends).
 //! Validation returns a typed [`FaultError`] (use
-//! [`FaultSchedule::apply`]); the panicking [`FaultSchedule::schedule`]
-//! wrapper keeps the old call sites working.
+//! [`FaultSchedule::apply`]); [`FaultSchedule::schedule`] is the
+//! panicking wrapper for callers that treat an invalid schedule as a bug.
 //!
 //! `f` denotes the number of failures injected; `t_B` the maximum number
 //! of failures blockchain `B` claims to tolerate; `n` the network size.
@@ -178,92 +179,9 @@ impl FaultWindow {
 
 impl std::error::Error for FaultError {}
 
-/// A declarative failure-injection plan for one run (one named scenario
-/// of the paper). Convert into a [`FaultSchedule`] to compose several.
-#[derive(Clone, Debug, PartialEq, Eq, Default)]
-pub enum FaultPlan {
-    /// The baseline: no failures.
-    #[default]
-    None,
-    /// Crash `nodes` permanently at `at`.
-    Crash {
-        /// The victims.
-        nodes: Vec<NodeId>,
-        /// Injection time.
-        at: SimTime,
-    },
-    /// Halt `nodes` at `at` and restart them at `recover_at`.
-    Transient {
-        /// The victims.
-        nodes: Vec<NodeId>,
-        /// Injection time.
-        at: SimTime,
-        /// Restart time.
-        recover_at: SimTime,
-    },
-    /// Disconnect `nodes` from the rest of the network between `at` and
-    /// `heal_at`.
-    Partition {
-        /// The isolated group.
-        nodes: Vec<NodeId>,
-        /// Partition start.
-        at: SimTime,
-        /// Partition end.
-        heal_at: SimTime,
-    },
-    /// Slow `nodes` down between `at` and `until`: every message they
-    /// send gains `extra` delay. A slow-but-correct node — the paper's
-    /// §4 discussion of how a single slow node affects leader-based
-    /// chains but not leaderless DBFT.
-    Slowdown {
-        /// The slowed nodes.
-        nodes: Vec<NodeId>,
-        /// Extra outbound delay while slowed.
-        extra: SimDuration,
-        /// Slowdown start.
-        at: SimTime,
-        /// Slowdown end.
-        until: SimTime,
-    },
-}
-
-impl FaultPlan {
-    /// The nodes this plan touches.
-    pub fn victims(&self) -> &[NodeId] {
-        match self {
-            FaultPlan::None => &[],
-            FaultPlan::Crash { nodes, .. }
-            | FaultPlan::Transient { nodes, .. }
-            | FaultPlan::Partition { nodes, .. }
-            | FaultPlan::Slowdown { nodes, .. } => nodes,
-        }
-    }
-
-    /// Validates and schedules the plan's events on a simulation.
-    ///
-    /// # Errors
-    ///
-    /// See [`FaultSchedule::apply`].
-    pub fn apply<P: Protocol>(&self, sim: &mut Simulation<P>) -> Result<(), FaultError> {
-        FaultSchedule::from(self.clone()).apply(sim)
-    }
-
-    /// Schedules the plan's events on a simulation (the role of Stabl's
-    /// observer processes). Thin wrapper around [`FaultPlan::apply`].
-    ///
-    /// # Panics
-    ///
-    /// Panics if a transient/partition plan recovers before it starts,
-    /// or if a victim id is outside the network.
-    pub fn schedule<P: Protocol>(&self, sim: &mut Simulation<P>) {
-        // stabl-lint: allow(R-003, documented panicking wrapper preserving the legacy FaultPlan::schedule message contract; apply() is the typed-error path)
-        self.apply(sim).unwrap_or_else(|e| panic!("{e}"));
-    }
-}
-
 /// One timed fault injection inside a [`FaultSchedule`].
 ///
-/// The first four variants mirror [`FaultPlan`]; `LinkDegrade` adds the
+/// The first four variants are whole-node faults; `LinkDegrade` adds the
 /// message-level dimension (probabilistic loss, duplication, reordering
 /// and asymmetric partitions — see [`LinkFault`]).
 #[derive(Clone, Debug, PartialEq)]
@@ -506,11 +424,9 @@ impl FaultAction {
 
 /// An ordered list of timed [`FaultAction`]s injected into one run.
 ///
-/// Replaces the closed [`FaultPlan`] dispatch: any number of
-/// whole-node, link-level and slowdown faults compose in one schedule.
-/// The old variants remain available as constructors
-/// ([`FaultSchedule::crash`], [`FaultSchedule::transient`], …) and via
-/// `From<FaultPlan>`.
+/// Any number of whole-node, link-level and slowdown faults compose in
+/// one schedule; the paper's single-fault scenarios are the one-action
+/// constructors ([`FaultSchedule::crash`], [`FaultSchedule::transient`], …).
 ///
 /// # Examples
 ///
@@ -547,13 +463,12 @@ impl FaultSchedule {
         FaultSchedule { actions }
     }
 
-    /// Crash `nodes` permanently at `at` (old `FaultPlan::Crash`).
+    /// Crash `nodes` permanently at `at`.
     pub fn crash(nodes: Vec<NodeId>, at: SimTime) -> FaultSchedule {
         FaultSchedule::new(vec![FaultAction::Crash { nodes, at }])
     }
 
-    /// Halt `nodes` at `at`, restart at `recover_at` (old
-    /// `FaultPlan::Transient`).
+    /// Halt `nodes` at `at`, restart at `recover_at`.
     pub fn transient(nodes: Vec<NodeId>, at: SimTime, recover_at: SimTime) -> FaultSchedule {
         FaultSchedule::new(vec![FaultAction::Transient {
             nodes,
@@ -562,14 +477,15 @@ impl FaultSchedule {
         }])
     }
 
-    /// Isolate `nodes` between `at` and `heal_at` (old
-    /// `FaultPlan::Partition`).
+    /// Isolate `nodes` between `at` and `heal_at`.
     pub fn partition(nodes: Vec<NodeId>, at: SimTime, heal_at: SimTime) -> FaultSchedule {
         FaultSchedule::new(vec![FaultAction::Partition { nodes, at, heal_at }])
     }
 
-    /// Slow `nodes` down between `at` and `until` (old
-    /// `FaultPlan::Slowdown`).
+    /// Slow `nodes` down between `at` and `until`: every message they
+    /// send gains `extra` delay. A slow-but-correct node — the paper's
+    /// §4 discussion of how a single slow node affects leader-based
+    /// chains but not leaderless DBFT.
     pub fn slowdown(
         nodes: Vec<NodeId>,
         extra: SimDuration,
@@ -683,31 +599,8 @@ impl FaultSchedule {
     ///
     /// Panics with the [`FaultError`] message on an invalid schedule.
     pub fn schedule<P: Protocol>(&self, sim: &mut Simulation<P>) {
-        // stabl-lint: allow(R-003, documented panicking wrapper preserving the legacy FaultPlan::schedule message contract; apply() is the typed-error path)
+        // stabl-lint: allow(R-003, documented panicking wrapper whose message is the FaultError; apply() is the typed-error path)
         self.apply(sim).unwrap_or_else(|e| panic!("{e}"));
-    }
-}
-
-impl From<FaultPlan> for FaultSchedule {
-    fn from(plan: FaultPlan) -> FaultSchedule {
-        match plan {
-            FaultPlan::None => FaultSchedule::none(),
-            FaultPlan::Crash { nodes, at } => FaultSchedule::crash(nodes, at),
-            FaultPlan::Transient {
-                nodes,
-                at,
-                recover_at,
-            } => FaultSchedule::transient(nodes, at, recover_at),
-            FaultPlan::Partition { nodes, at, heal_at } => {
-                FaultSchedule::partition(nodes, at, heal_at)
-            }
-            FaultPlan::Slowdown {
-                nodes,
-                extra,
-                at,
-                until,
-            } => FaultSchedule::slowdown(nodes, extra, at, until),
-        }
     }
 }
 
@@ -842,13 +735,9 @@ mod tests {
     }
 
     #[test]
-    fn crash_plan_halts_permanently() {
+    fn crash_halts_permanently() {
         let mut sim = Simulation::<Idle>::new(4, 1, ());
-        FaultPlan::Crash {
-            nodes: nodes(&[2, 3]),
-            at: SimTime::from_secs(1),
-        }
-        .schedule(&mut sim);
+        FaultSchedule::crash(nodes(&[2, 3]), SimTime::from_secs(1)).schedule(&mut sim);
         sim.run_until(SimTime::from_secs(10));
         assert_eq!(sim.status(NodeId::new(2)), NodeStatus::Crashed);
         assert_eq!(sim.status(NodeId::new(3)), NodeStatus::Crashed);
@@ -856,14 +745,10 @@ mod tests {
     }
 
     #[test]
-    fn transient_plan_restarts() {
+    fn transient_restarts() {
         let mut sim = Simulation::<Idle>::new(3, 1, ());
-        FaultPlan::Transient {
-            nodes: nodes(&[1]),
-            at: SimTime::from_secs(1),
-            recover_at: SimTime::from_secs(2),
-        }
-        .schedule(&mut sim);
+        FaultSchedule::transient(nodes(&[1]), SimTime::from_secs(1), SimTime::from_secs(2))
+            .schedule(&mut sim);
         sim.run_until(SimTime::from_millis(1500));
         assert_eq!(sim.status(NodeId::new(1)), NodeStatus::Crashed);
         sim.run_until(SimTime::from_secs(3));
@@ -871,14 +756,10 @@ mod tests {
     }
 
     #[test]
-    fn partition_plan_installs_and_heals() {
+    fn partition_installs_and_heals() {
         let mut sim = Simulation::<Idle>::new(4, 1, ());
-        FaultPlan::Partition {
-            nodes: nodes(&[0]),
-            at: SimTime::from_secs(1),
-            heal_at: SimTime::from_secs(2),
-        }
-        .schedule(&mut sim);
+        FaultSchedule::partition(nodes(&[0]), SimTime::from_secs(1), SimTime::from_secs(2))
+            .schedule(&mut sim);
         sim.run_until(SimTime::from_millis(1500));
         assert_eq!(sim.network().active_rules(), 1);
         sim.run_until(SimTime::from_secs(3));
@@ -886,14 +767,14 @@ mod tests {
     }
 
     #[test]
-    fn slowdown_plan_installs_and_expires() {
+    fn slowdown_installs_and_expires() {
         let mut sim = Simulation::<Idle>::new(3, 1, ());
-        FaultPlan::Slowdown {
-            nodes: nodes(&[1]),
-            extra: SimDuration::from_millis(200),
-            at: SimTime::from_secs(1),
-            until: SimTime::from_secs(2),
-        }
+        FaultSchedule::slowdown(
+            nodes(&[1]),
+            SimDuration::from_millis(200),
+            SimTime::from_secs(1),
+            SimTime::from_secs(2),
+        )
         .schedule(&mut sim);
         sim.run_until(SimTime::from_millis(1500));
         assert_eq!(
@@ -906,46 +787,33 @@ mod tests {
 
     #[test]
     fn victims_accessor() {
-        assert!(FaultPlan::None.victims().is_empty());
-        let plan = FaultPlan::Crash {
-            nodes: nodes(&[1]),
-            at: SimTime::ZERO,
-        };
-        assert_eq!(plan.victims(), &[NodeId::new(1)]);
+        assert!(FaultSchedule::none().victims().is_empty());
+        assert!(FaultSchedule::none().is_empty());
+        let schedule = FaultSchedule::crash(nodes(&[1]), SimTime::ZERO);
+        assert_eq!(schedule.victims(), nodes(&[1]));
     }
 
     #[test]
     #[should_panic(expected = "recovery precedes")]
     fn inverted_transient_rejected() {
         let mut sim = Simulation::<Idle>::new(2, 1, ());
-        FaultPlan::Transient {
-            nodes: nodes(&[1]),
-            at: SimTime::from_secs(2),
-            recover_at: SimTime::from_secs(1),
-        }
-        .schedule(&mut sim);
+        FaultSchedule::transient(nodes(&[1]), SimTime::from_secs(2), SimTime::from_secs(1))
+            .schedule(&mut sim);
     }
 
     #[test]
     #[should_panic(expected = "outside")]
     fn out_of_range_victim_rejected() {
         let mut sim = Simulation::<Idle>::new(2, 1, ());
-        FaultPlan::Crash {
-            nodes: nodes(&[5]),
-            at: SimTime::ZERO,
-        }
-        .schedule(&mut sim);
+        FaultSchedule::crash(nodes(&[5]), SimTime::ZERO).schedule(&mut sim);
     }
 
     #[test]
     fn apply_returns_typed_errors() {
         let mut sim = Simulation::<Idle>::new(2, 1, ());
-        let inverted = FaultPlan::Transient {
-            nodes: nodes(&[1]),
-            at: SimTime::from_secs(2),
-            recover_at: SimTime::from_secs(1),
-        }
-        .apply(&mut sim);
+        let inverted =
+            FaultSchedule::transient(nodes(&[1]), SimTime::from_secs(2), SimTime::from_secs(1))
+                .apply(&mut sim);
         assert!(matches!(
             inverted,
             Err(FaultError::InvertedWindow {
@@ -953,11 +821,7 @@ mod tests {
                 ..
             })
         ));
-        let out_of_range = FaultPlan::Crash {
-            nodes: nodes(&[5]),
-            at: SimTime::ZERO,
-        }
-        .apply(&mut sim);
+        let out_of_range = FaultSchedule::crash(nodes(&[5]), SimTime::ZERO).apply(&mut sim);
         assert_eq!(
             out_of_range,
             Err(FaultError::VictimOutOfRange {
@@ -1052,20 +916,6 @@ mod tests {
                 n: 4
             })
         );
-    }
-
-    #[test]
-    fn plan_converts_to_schedule() {
-        let plan = FaultPlan::Partition {
-            nodes: nodes(&[1, 2]),
-            at: SimTime::from_secs(1),
-            heal_at: SimTime::from_secs(2),
-        };
-        let schedule: FaultSchedule = plan.into();
-        assert_eq!(schedule.actions().len(), 1);
-        assert_eq!(schedule.victims(), nodes(&[1, 2]));
-        let empty: FaultSchedule = FaultPlan::None.into();
-        assert!(empty.is_empty());
     }
 
     #[test]

@@ -25,7 +25,7 @@
 //! ```
 //!
 //! The full campaign (400 s runs, all chains × all scenarios) is driven
-//! by the binaries in `stabl-bench`, one per figure of the paper.
+//! by the `stabl-bench` binary, one subcommand per figure of the paper.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -40,17 +40,17 @@ pub mod metrics;
 pub mod observe;
 pub mod report;
 mod scenario;
-mod workload;
 
 pub use chains::Chain;
 pub use client::{ClientMode, RetryPolicy};
-pub use faults::{FaultAction, FaultError, FaultPlan, FaultSchedule, FaultWindow};
+pub use faults::{FaultAction, FaultError, FaultSchedule, FaultWindow};
 pub use harness::{run_protocol, run_protocol_traced, RunConfig, RunResult, RunTrace, TracedRun};
 pub use scenario::{report_from_runs, PaperSetup, ScenarioKind};
-pub use workload::{Submission, WorkloadShape, WorkloadSpec};
-// The production traffic model behind WorkloadSpec::production.
+// The Diablo-style workload generator (paper-standard grid streams and
+// the production traffic model behind WorkloadSpec::production).
 pub use stabl_workload::{
-    AccountPopulation, ArrivalProcess, ConflictProfile, TrafficModel, ZipfSampler,
+    AccountPopulation, ArrivalProcess, ConflictProfile, Submission, TrafficModel, WorkloadShape,
+    WorkloadSpec, ZipfSampler,
 };
 
 // The message-level adversity surface, re-exported so campaign configs

@@ -13,12 +13,14 @@
 //!
 //! Failures always hit the validators that serve no client (ids 5–9).
 
+use std::str::FromStr;
+
 use stabl_sim::{ByzantineSpec, LatencyModel, NodeId, SimDuration, SimTime};
 
 use crate::harness::{RunConfig, RunResult};
 use crate::metrics::Sensitivity;
 use crate::report::{RunSummary, ScenarioReport};
-use crate::{Chain, ClientMode, FaultPlan, WorkloadSpec};
+use crate::{Chain, ClientMode, FaultSchedule, WorkloadSpec};
 
 /// The four adversarial dimensions of the study (plus the baseline).
 #[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord, Hash)]
@@ -53,6 +55,30 @@ impl ScenarioKind {
             ScenarioKind::Partition => "partition",
             ScenarioKind::SecureClient => "secure-client",
         }
+    }
+}
+
+/// Parses [`ScenarioKind::name`], ignoring ASCII case; `secure` is
+/// accepted for `secure-client`.
+impl FromStr for ScenarioKind {
+    type Err = String;
+
+    fn from_str(name: &str) -> Result<ScenarioKind, String> {
+        let name = if name.eq_ignore_ascii_case("secure") {
+            ScenarioKind::SecureClient.name()
+        } else {
+            name
+        };
+        [ScenarioKind::Baseline]
+            .into_iter()
+            .chain(ScenarioKind::ALTERED)
+            .find(|kind| kind.name().eq_ignore_ascii_case(name))
+            .ok_or_else(|| {
+                format!(
+                    "unknown scenario {name}; known: baseline crash transient partition \
+                     secure-client"
+                )
+            })
     }
 }
 
@@ -131,21 +157,14 @@ impl PaperSetup {
     pub fn run_config(&self, chain: Chain, kind: ScenarioKind) -> RunConfig {
         let t = chain.tolerated_faults(self.n);
         let faults = match kind {
-            ScenarioKind::Baseline | ScenarioKind::SecureClient => FaultPlan::None,
-            ScenarioKind::Crash => FaultPlan::Crash {
-                nodes: self.victims(t),
-                at: self.fault_at,
-            },
-            ScenarioKind::Transient => FaultPlan::Transient {
-                nodes: self.victims(t + 1),
-                at: self.fault_at,
-                recover_at: self.recover_at,
-            },
-            ScenarioKind::Partition => FaultPlan::Partition {
-                nodes: self.victims(t + 1),
-                at: self.fault_at,
-                heal_at: self.recover_at,
-            },
+            ScenarioKind::Baseline | ScenarioKind::SecureClient => FaultSchedule::none(),
+            ScenarioKind::Crash => FaultSchedule::crash(self.victims(t), self.fault_at),
+            ScenarioKind::Transient => {
+                FaultSchedule::transient(self.victims(t + 1), self.fault_at, self.recover_at)
+            }
+            ScenarioKind::Partition => {
+                FaultSchedule::partition(self.victims(t + 1), self.fault_at, self.recover_at)
+            }
         };
         let client_mode = match kind {
             ScenarioKind::SecureClient => ClientMode::paper_secure(),
@@ -159,7 +178,7 @@ impl PaperSetup {
             horizon: self.horizon,
             workload: WorkloadSpec::paper_standard(self.submit_until),
             client_mode,
-            faults: faults.into(),
+            faults,
             byzantine: ByzantineSpec::none(),
             byzantine_rpc: Vec::new(),
             retry: None,
@@ -263,6 +282,23 @@ mod tests {
         assert_eq!(setup.fault_at, SimTime::from_secs(20));
         assert_eq!(setup.recover_at, SimTime::from_secs(40));
         assert!(setup.submit_until < setup.horizon);
+    }
+
+    #[test]
+    fn from_str_round_trips_names_case_insensitively() {
+        for kind in [ScenarioKind::Baseline]
+            .into_iter()
+            .chain(ScenarioKind::ALTERED)
+        {
+            assert_eq!(kind.name().parse(), Ok(kind));
+            assert_eq!(kind.name().to_uppercase().parse(), Ok(kind));
+        }
+        assert_eq!("secure".parse(), Ok(ScenarioKind::SecureClient));
+        assert_eq!("Secure".parse(), Ok(ScenarioKind::SecureClient));
+        let err = "meteor"
+            .parse::<ScenarioKind>()
+            .expect_err("no such scenario");
+        assert!(err.contains("meteor") && err.contains("partition"), "{err}");
     }
 
     #[test]

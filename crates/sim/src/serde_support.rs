@@ -4,16 +4,17 @@
 //! types a [`RunResult`] is made of — instants, node ids, panic records
 //! and traffic counters — must round-trip through JSON losslessly. The
 //! newtypes serialise as their raw integer payloads (microseconds,
-//! dense node index); the records serialise as maps keyed by field
-//! name.
+//! dense node index); the plain records (`PanicRecord`, `SimStats`,
+//! `EventCounters`) derive their field-name-keyed maps where they
+//! are defined.
 //!
 //! [`RunResult`]: https://docs.rs/stabl/latest/stabl/struct.RunResult.html
 
 use serde::{Content, DeError, Deserialize, Serialize};
 
 use crate::{
-    ByzantineBehavior, ByzantineSpec, CaptureLevel, EventCounters, LinkFault, NodeId, PanicRecord,
-    SimDuration, SimEvent, SimStats, SimTime, TimedEvent,
+    ByzantineBehavior, ByzantineSpec, CaptureLevel, LinkFault, NodeId, SimDuration, SimEvent,
+    SimTime, TimedEvent,
 };
 
 impl Serialize for SimTime {
@@ -49,119 +50,6 @@ impl Serialize for NodeId {
 impl Deserialize for NodeId {
     fn from_content(content: &Content) -> Result<NodeId, DeError> {
         u32::from_content(content).map(NodeId::new)
-    }
-}
-
-impl Serialize for PanicRecord {
-    fn to_content(&self) -> Content {
-        Content::Map(vec![
-            ("time".to_owned(), self.time.to_content()),
-            ("node".to_owned(), self.node.to_content()),
-            ("reason".to_owned(), self.reason.to_content()),
-        ])
-    }
-}
-
-impl Deserialize for PanicRecord {
-    fn from_content(content: &Content) -> Result<PanicRecord, DeError> {
-        Ok(PanicRecord {
-            time: serde::__private::field(content, "time")?,
-            node: serde::__private::field(content, "node")?,
-            reason: serde::__private::field(content, "reason")?,
-        })
-    }
-}
-
-impl Serialize for SimStats {
-    fn to_content(&self) -> Content {
-        Content::Map(vec![
-            ("messages_sent".to_owned(), self.messages_sent.to_content()),
-            (
-                "messages_delivered".to_owned(),
-                self.messages_delivered.to_content(),
-            ),
-            (
-                "messages_dropped_dead".to_owned(),
-                self.messages_dropped_dead.to_content(),
-            ),
-            (
-                "messages_dropped_partition".to_owned(),
-                self.messages_dropped_partition.to_content(),
-            ),
-            (
-                "messages_dropped_link".to_owned(),
-                self.messages_dropped_link.to_content(),
-            ),
-            (
-                "messages_duplicated_link".to_owned(),
-                self.messages_duplicated_link.to_content(),
-            ),
-            (
-                "messages_reordered_link".to_owned(),
-                self.messages_reordered_link.to_content(),
-            ),
-            ("timers_fired".to_owned(), self.timers_fired.to_content()),
-            ("timers_stale".to_owned(), self.timers_stale.to_content()),
-            (
-                "requests_delivered".to_owned(),
-                self.requests_delivered.to_content(),
-            ),
-            (
-                "requests_dropped".to_owned(),
-                self.requests_dropped.to_content(),
-            ),
-            (
-                "events_processed".to_owned(),
-                self.events_processed.to_content(),
-            ),
-            (
-                "dropped_trace_lines".to_owned(),
-                self.dropped_trace_lines.to_content(),
-            ),
-            (
-                "speculative_reexecutions".to_owned(),
-                self.speculative_reexecutions.to_content(),
-            ),
-            (
-                "conflict_aborts".to_owned(),
-                self.conflict_aborts.to_content(),
-            ),
-            (
-                "pool_evictions".to_owned(),
-                self.pool_evictions.to_content(),
-            ),
-            (
-                "pool_replacements".to_owned(),
-                self.pool_replacements.to_content(),
-            ),
-        ])
-    }
-}
-
-impl Deserialize for SimStats {
-    fn from_content(content: &Content) -> Result<SimStats, DeError> {
-        Ok(SimStats {
-            messages_sent: serde::__private::field(content, "messages_sent")?,
-            messages_delivered: serde::__private::field(content, "messages_delivered")?,
-            messages_dropped_dead: serde::__private::field(content, "messages_dropped_dead")?,
-            messages_dropped_partition: serde::__private::field(
-                content,
-                "messages_dropped_partition",
-            )?,
-            messages_dropped_link: serde::__private::field(content, "messages_dropped_link")?,
-            messages_duplicated_link: serde::__private::field(content, "messages_duplicated_link")?,
-            messages_reordered_link: serde::__private::field(content, "messages_reordered_link")?,
-            timers_fired: serde::__private::field(content, "timers_fired")?,
-            timers_stale: serde::__private::field(content, "timers_stale")?,
-            requests_delivered: serde::__private::field(content, "requests_delivered")?,
-            requests_dropped: serde::__private::field(content, "requests_dropped")?,
-            events_processed: serde::__private::field(content, "events_processed")?,
-            dropped_trace_lines: serde::__private::field(content, "dropped_trace_lines")?,
-            speculative_reexecutions: serde::__private::field(content, "speculative_reexecutions")?,
-            conflict_aborts: serde::__private::field(content, "conflict_aborts")?,
-            pool_evictions: serde::__private::field(content, "pool_evictions")?,
-            pool_replacements: serde::__private::field(content, "pool_replacements")?,
-        })
     }
 }
 
@@ -257,85 +145,6 @@ impl Serialize for TimedEvent {
     }
 }
 
-impl Serialize for EventCounters {
-    fn to_content(&self) -> Content {
-        Content::Map(vec![
-            ("node_crashes".to_owned(), self.node_crashes.to_content()),
-            ("node_restarts".to_owned(), self.node_restarts.to_content()),
-            ("node_panics".to_owned(), self.node_panics.to_content()),
-            ("messages_sent".to_owned(), self.messages_sent.to_content()),
-            (
-                "messages_delivered".to_owned(),
-                self.messages_delivered.to_content(),
-            ),
-            (
-                "messages_dropped".to_owned(),
-                self.messages_dropped.to_content(),
-            ),
-            ("timers_fired".to_owned(), self.timers_fired.to_content()),
-            ("timers_stale".to_owned(), self.timers_stale.to_content()),
-            (
-                "requests_delivered".to_owned(),
-                self.requests_delivered.to_content(),
-            ),
-            (
-                "requests_dropped".to_owned(),
-                self.requests_dropped.to_content(),
-            ),
-            (
-                "faults_activated".to_owned(),
-                self.faults_activated.to_content(),
-            ),
-            (
-                "faults_cleared".to_owned(),
-                self.faults_cleared.to_content(),
-            ),
-            (
-                "client_submits".to_owned(),
-                self.client_submits.to_content(),
-            ),
-            (
-                "client_retries".to_owned(),
-                self.client_retries.to_content(),
-            ),
-            (
-                "client_give_ups".to_owned(),
-                self.client_give_ups.to_content(),
-            ),
-            ("commits".to_owned(), self.commits.to_content()),
-            ("phase_marks".to_owned(), self.phase_marks.to_content()),
-            ("log_lines".to_owned(), self.log_lines.to_content()),
-            ("gauge_samples".to_owned(), self.gauge_samples.to_content()),
-        ])
-    }
-}
-
-impl Deserialize for EventCounters {
-    fn from_content(content: &Content) -> Result<EventCounters, DeError> {
-        Ok(EventCounters {
-            node_crashes: serde::__private::field(content, "node_crashes")?,
-            node_restarts: serde::__private::field(content, "node_restarts")?,
-            node_panics: serde::__private::field(content, "node_panics")?,
-            messages_sent: serde::__private::field(content, "messages_sent")?,
-            messages_delivered: serde::__private::field(content, "messages_delivered")?,
-            messages_dropped: serde::__private::field(content, "messages_dropped")?,
-            timers_fired: serde::__private::field(content, "timers_fired")?,
-            timers_stale: serde::__private::field(content, "timers_stale")?,
-            requests_delivered: serde::__private::field(content, "requests_delivered")?,
-            requests_dropped: serde::__private::field(content, "requests_dropped")?,
-            faults_activated: serde::__private::field(content, "faults_activated")?,
-            faults_cleared: serde::__private::field(content, "faults_cleared")?,
-            client_submits: serde::__private::field(content, "client_submits")?,
-            client_retries: serde::__private::field(content, "client_retries")?,
-            client_give_ups: serde::__private::field(content, "client_give_ups")?,
-            commits: serde::__private::field(content, "commits")?,
-            phase_marks: serde::__private::field(content, "phase_marks")?,
-            log_lines: serde::__private::field(content, "log_lines")?,
-            gauge_samples: serde::__private::field(content, "gauge_samples")?,
-        })
-    }
-}
-
 impl Serialize for LinkFault {
     fn to_content(&self) -> Content {
         let group = |g: Option<&std::collections::BTreeSet<NodeId>>| match g {
@@ -426,7 +235,7 @@ impl Deserialize for ByzantineSpec {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{DropCause, FaultKind};
+    use crate::{DropCause, EventCounters, FaultKind, PanicRecord, SimStats};
 
     fn roundtrip<T: Serialize + Deserialize>(value: &T) -> T {
         T::from_content(&value.to_content()).expect("roundtrip")

@@ -17,7 +17,7 @@ pub struct CommitRecord<C> {
 /// A fatal node failure reported through [`Ctx::panic_node`].
 ///
 /// [`Ctx::panic_node`]: crate::Ctx::panic_node
-#[derive(Clone, Debug, PartialEq, Eq)]
+#[derive(Clone, Debug, PartialEq, Eq, serde::Serialize, serde::Deserialize)]
 pub struct PanicRecord {
     /// When the node aborted.
     pub time: SimTime,
@@ -41,7 +41,7 @@ pub struct TraceLine {
 }
 
 /// Aggregate traffic and scheduling counters for a run.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq, serde::Serialize, serde::Deserialize)]
 pub struct SimStats {
     /// Messages handed to the network by protocols.
     pub messages_sent: u64,

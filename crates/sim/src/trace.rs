@@ -324,7 +324,7 @@ pub struct TimedEvent {
 /// marks.
 ///
 /// [`SimStats`]: crate::SimStats
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq, serde::Serialize, serde::Deserialize)]
 pub struct EventCounters {
     /// `NodeCrashed` events.
     pub node_crashes: u64,

@@ -1,5 +1,6 @@
-//! JSON (de)serialisation for the traffic-model configuration types,
-//! so campaign artifacts under `results/contention/` are
+//! JSON (de)serialisation for the `kind`-tagged traffic-model enums
+//! (`TrafficModel` itself derives its map), so
+//! campaign artifacts under `results/contention/` are
 //! self-describing: every cell records the exact model that produced
 //! it. These types feed the campaign cache and are listed in the
 //! `CACHE_SCHEMA_VERSION` manifest in `bench/engine.rs`.
@@ -7,7 +8,7 @@
 use serde::{Content, DeError, Deserialize, Serialize};
 
 use crate::arrival::ArrivalProcess;
-use crate::traffic::{ConflictProfile, TrafficModel};
+use crate::traffic::ConflictProfile;
 
 impl Serialize for ArrivalProcess {
     fn to_content(&self) -> Content {
@@ -130,36 +131,12 @@ impl Deserialize for ConflictProfile {
     }
 }
 
-impl Serialize for TrafficModel {
-    fn to_content(&self) -> Content {
-        Content::Map(vec![
-            ("accounts".to_owned(), self.accounts.to_content()),
-            (
-                "theta_permille".to_owned(),
-                self.theta_permille.to_content(),
-            ),
-            ("arrival".to_owned(), self.arrival.to_content()),
-            ("conflict".to_owned(), self.conflict.to_content()),
-        ])
-    }
-}
-
-impl Deserialize for TrafficModel {
-    fn from_content(content: &Content) -> Result<TrafficModel, DeError> {
-        Ok(TrafficModel {
-            accounts: serde::__private::field(content, "accounts")?,
-            theta_permille: serde::__private::field(content, "theta_permille")?,
-            arrival: serde::__private::field(content, "arrival")?,
-            conflict: serde::__private::field(content, "conflict")?,
-        })
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use stabl_sim::{SimDuration, SimTime};
 
     use super::*;
+    use crate::traffic::TrafficModel;
 
     fn roundtrip<T: Serialize + Deserialize + PartialEq + std::fmt::Debug>(value: T) {
         let json = serde_json::to_string(&value).expect("serialize");
