@@ -54,11 +54,13 @@ pub struct AlgorandConfig {
     pub conn: ConnConfig,
     /// Connection-manager tick period.
     pub conn_tick: SimDuration,
-    /// Models production-shaped contention: funds the whole declared
-    /// account population lazily instead of the paper's 256 prefunded
-    /// accounts. Off by default so paper-standard runs are
-    /// byte-identical.
-    pub model_contention: bool,
+}
+
+impl AlgorandConfig {
+    /// Execution time of a committed block of `txs` transactions.
+    pub fn exec_cost(&self, txs: usize) -> SimDuration {
+        self.exec_per_block + self.exec_per_tx * txs as u64
+    }
 }
 
 impl Default for AlgorandConfig {
@@ -86,7 +88,6 @@ impl Default for AlgorandConfig {
                 backoff_cap: SimDuration::from_secs(240),
             },
             conn_tick: SimDuration::from_millis(1_000),
-            model_contention: false,
         }
     }
 }
@@ -114,18 +115,5 @@ mod tests {
             assert!(n - t - 1 < quorum, "n={n}: f=t+1 must stall");
         }
         assert!(cfg.proposer_permille > 0 && cfg.proposer_permille < 1_000);
-    }
-}
-
-impl AlgorandConfig {
-    /// Pairs this config with a Byzantine spec, producing the config of
-    /// [`ByzantineAlgorandNode`](crate::ByzantineAlgorandNode): the named
-    /// nodes run the same protocol but mutate, equivocate, delay or
-    /// withhold their outbound messages.
-    pub fn with_byzantine(
-        self,
-        spec: stabl_sim::ByzantineSpec,
-    ) -> stabl_sim::ByzConfig<AlgorandConfig> {
-        stabl_sim::ByzConfig::new(self, spec)
     }
 }

@@ -26,8 +26,3 @@ pub mod sortition;
 
 pub use config::AlgorandConfig;
 pub use node::{AlgorandMsg, AlgorandNode, AlgorandTimer};
-
-/// [`AlgorandNode`] wrapped with message-level Byzantine behaviors
-/// (mutate, equivocate, delay, withhold) for selected nodes; configure
-/// via [`AlgorandConfig::with_byzantine`].
-pub type ByzantineAlgorandNode = stabl_sim::ByzantineWrapper<AlgorandNode>;

@@ -3,10 +3,8 @@
 
 use std::collections::{BTreeMap, BTreeSet};
 
-use stabl_sim::{
-    ConnAction, ConnectionManager, ContentionStats, Ctx, NodeId, Protocol, SimDuration, SimTime,
-};
-use stabl_types::{AccountPool, Block, Hash32, Ledger, Transaction, TxId};
+use stabl_sim::{ConnectionManager, ContentionStats, Ctx, NodeId, Protocol, SimDuration, SimTime};
+use stabl_types::{AccountPool, Block, Hash32, Replica, Transaction, TxId};
 
 use crate::{sortition, AlgorandConfig};
 
@@ -106,10 +104,8 @@ pub struct AlgorandNode {
     n: usize,
     config: AlgorandConfig,
     seed: u64,
-    // Durable state.
-    chain: Vec<Block>,
-    ledger: Ledger,
-    executed_height: u64,
+    /// The committed chain, the ledger and the execution pipeline.
+    replica: Replica<Block>,
     // Round state (volatile).
     round: u64,
     attempt: u64,
@@ -127,9 +123,6 @@ pub struct AlgorandNode {
     /// Number of rounds that needed a recovery attempt or missed their
     /// expected proposer (diagnostics).
     slow_rounds: u64,
-    // Execution pipeline.
-    exec_busy_until: SimTime,
-    exec_queue: Vec<(u64, SimTime)>,
     // Pool and networking.
     pool: AccountPool,
     conn: ConnectionManager,
@@ -140,24 +133,15 @@ impl AlgorandNode {
         (self.n * self.config.quorum_permille as usize).div_ceil(1000)
     }
 
-    /// The committed chain height.
-    pub fn chain_height(&self) -> u64 {
-        self.chain.len() as u64
-    }
-
-    /// The height up to which blocks are executed.
-    pub fn executed_height(&self) -> u64 {
-        self.executed_height
-    }
-
     /// Pending pool transactions.
     pub fn pool_len(&self) -> usize {
         self.pool.len()
     }
 
-    /// The node's ledger.
-    pub fn ledger(&self) -> &Ledger {
-        &self.ledger
+    /// The node's durable state: the committed blocks, the ledger and
+    /// the height executed so far.
+    pub fn replica(&self) -> &Replica<Block> {
+        &self.replica
     }
 
     /// The BA★ round in progress.
@@ -206,7 +190,7 @@ impl AlgorandNode {
             self.config.proposer_permille,
         ) {
             let txs = self.pool.take_ready(self.config.max_block_txs);
-            let parent = self.chain.last().map(Block::hash).unwrap_or(Hash32::ZERO);
+            let parent = self.replica.tip().map_or(Hash32::ZERO, Block::hash);
             let block = Block::new(parent, round, self.id, txs);
             let priority = sortition::priority(self.seed, round, attempt, self.id);
             let msg = AlgorandMsg::Proposal {
@@ -332,21 +316,23 @@ impl AlgorandNode {
             if let Some(block) = self.blocks_by_hash.get(&hash).cloned() {
                 self.commit_block(block, ctx);
             } else {
-                ctx.send(
-                    from,
-                    AlgorandMsg::SyncRequest {
-                        from_height: self.chain_height() + 1,
-                    },
-                );
+                self.request_sync(from, ctx);
             }
         }
     }
 
-    fn commit_block(&mut self, block: Block, ctx: &mut Ctx<'_, Self>) {
-        debug_assert_eq!(block.height(), self.chain_height() + 1);
+    /// Appends an agreed block to the chain and schedules its execution.
+    fn append_block(&mut self, block: Block, ctx: &mut Ctx<'_, Self>) {
+        debug_assert_eq!(block.height(), self.replica.height() + 1);
         for tx in block.txs() {
             self.pool.mark_committed(tx.from(), tx.nonce() + 1);
         }
+        let cost = self.config.exec_cost(block.len());
+        let done_at = self.replica.append(ctx.now(), block, cost);
+        ctx.set_timer(done_at - ctx.now(), AlgorandTimer::ExecDone);
+    }
+
+    fn commit_block(&mut self, block: Block, ctx: &mut Ctx<'_, Self>) {
         // Dynamic round time: fast first-attempt rounds shrink the filter
         // timeout; rounds that needed recovery reset it to the default.
         if self.attempt == 0 {
@@ -358,96 +344,51 @@ impl AlgorandNode {
             self.slow_rounds += 1;
             self.dyn_filter = self.config.default_filter;
         }
-        let cost = self.config.exec_per_block + self.config.exec_per_tx * block.len() as u64;
-        let start = self.exec_busy_until.max(ctx.now());
-        let done_at = start + cost;
-        self.exec_busy_until = done_at;
         let height = block.height();
-        self.exec_queue.push((height, done_at));
-        ctx.gauge("exec_backlog", self.exec_queue.len() as u64);
-        ctx.set_timer(done_at - ctx.now(), AlgorandTimer::ExecDone);
-        self.chain.push(block);
+        self.append_block(block, ctx);
+        ctx.gauge("exec_backlog", self.replica.backlog() as u64);
         self.enter_round(height + 1, ctx);
     }
 
     fn drain_executor(&mut self, ctx: &mut Ctx<'_, Self>) {
-        let now = ctx.now();
-        while let Some(pos) = self.exec_queue.iter().position(|(_, at)| *at <= now) {
-            let (height, _) = self.exec_queue.remove(pos);
-            if height != self.executed_height + 1 {
-                continue;
+        self.replica.drain(ctx.now(), |outcome| {
+            if let Ok(id) = outcome {
+                ctx.commit(id);
             }
-            let block = self.chain[(height - 1) as usize].clone();
-            for tx in block.txs() {
-                if let Ok(id) = self.ledger.apply(tx) {
-                    ctx.commit(id);
-                }
-            }
-            self.executed_height = height;
-        }
+        });
     }
 
     fn handle_sync_request(&mut self, from: NodeId, from_height: u64, ctx: &mut Ctx<'_, Self>) {
-        if from_height > self.chain_height() || from_height == 0 {
-            return;
+        let blocks = self.replica.page(from_height, 30).to_vec();
+        if !blocks.is_empty() {
+            ctx.send(from, AlgorandMsg::SyncResponse { blocks });
         }
-        let start = (from_height - 1) as usize;
-        let end = (start + 30).min(self.chain.len());
-        ctx.send(
-            from,
-            AlgorandMsg::SyncResponse {
-                blocks: self.chain[start..end].to_vec(),
-            },
-        );
     }
 
     fn handle_sync_response(&mut self, from: NodeId, blocks: Vec<Block>, ctx: &mut Ctx<'_, Self>) {
         let mut advanced = false;
         for block in blocks {
-            if block.height() == self.chain_height() + 1 {
-                for tx in block.txs() {
-                    self.pool.mark_committed(tx.from(), tx.nonce() + 1);
-                }
-                let cost =
-                    self.config.exec_per_block + self.config.exec_per_tx * block.len() as u64;
-                let start = self.exec_busy_until.max(ctx.now());
-                let done_at = start + cost;
-                self.exec_busy_until = done_at;
-                self.exec_queue.push((block.height(), done_at));
-                ctx.set_timer(done_at - ctx.now(), AlgorandTimer::ExecDone);
-                self.chain.push(block);
+            if block.height() == self.replica.height() + 1 {
+                self.append_block(block, ctx);
                 advanced = true;
             }
         }
         if advanced {
-            self.enter_round(self.chain_height() + 1, ctx);
-            ctx.send(
-                from,
-                AlgorandMsg::SyncRequest {
-                    from_height: self.chain_height() + 1,
-                },
-            );
+            self.enter_round(self.replica.height() + 1, ctx);
+            self.request_sync(from, ctx);
         }
     }
 
     fn run_conn_tick(&mut self, ctx: &mut Ctx<'_, Self>) {
-        for action in self.conn.tick(ctx.now()) {
-            match action {
-                ConnAction::SendHeartbeat(peer) => ctx.send(peer, AlgorandMsg::Heartbeat),
-                ConnAction::SendDial(peer) => ctx.send(peer, AlgorandMsg::Dial),
-                ConnAction::Disconnected(_) => {}
-            }
-        }
+        self.conn
+            .upkeep(ctx, AlgorandMsg::Heartbeat, AlgorandMsg::Dial);
         ctx.set_timer(self.config.conn_tick, AlgorandTimer::ConnTick);
     }
 
-    fn on_reconnected(&mut self, peer: NodeId, ctx: &mut Ctx<'_, Self>) {
-        ctx.send(
-            peer,
-            AlgorandMsg::SyncRequest {
-                from_height: self.chain_height() + 1,
-            },
-        );
+    /// Asks `peer` for the committed blocks above our chain.
+    fn request_sync(&self, peer: NodeId, ctx: &mut Ctx<'_, Self>) {
+        let from_height = self.replica.height() + 1;
+        ctx.send(peer, AlgorandMsg::SyncRequest { from_height });
     }
 }
 
@@ -464,13 +405,7 @@ impl Protocol for AlgorandNode {
             n,
             config: config.clone(),
             seed: 0x5eed_a190_04a7_d000,
-            chain: Vec::new(),
-            ledger: if config.model_contention {
-                Ledger::with_lazy_balance(u64::MAX / 512)
-            } else {
-                Ledger::with_uniform_balance(256, u64::MAX / 512)
-            },
-            executed_height: 0,
+            replica: Replica::genesis(),
             round: 0,
             attempt: 0,
             round_start: SimTime::ZERO,
@@ -483,8 +418,6 @@ impl Protocol for AlgorandNode {
             cert_votes: BTreeMap::new(),
             conservative_until: 0,
             slow_rounds: 0,
-            exec_busy_until: SimTime::ZERO,
-            exec_queue: Vec::new(),
             pool: AccountPool::new(config.pool_capacity),
             conn: ConnectionManager::new(id, n, config.conn),
         };
@@ -496,7 +429,7 @@ impl Protocol for AlgorandNode {
 
     fn on_message(&mut self, from: NodeId, msg: AlgorandMsg, ctx: &mut Ctx<'_, Self>) {
         if self.conn.on_heard(from, ctx.now()) {
-            self.on_reconnected(from, ctx);
+            self.request_sync(from, ctx);
         }
         match msg {
             AlgorandMsg::TxGossip(tx) => {
@@ -509,12 +442,7 @@ impl Protocol for AlgorandNode {
                 block,
             } => {
                 if round > self.round {
-                    ctx.send(
-                        from,
-                        AlgorandMsg::SyncRequest {
-                            from_height: self.chain_height() + 1,
-                        },
-                    );
+                    self.request_sync(from, ctx);
                     return;
                 }
                 self.accept_proposal(round, priority, block, ctx);
@@ -523,24 +451,14 @@ impl Protocol for AlgorandNode {
                 if round == self.round {
                     self.record_soft_vote(from, hash, ctx);
                 } else if round > self.round {
-                    ctx.send(
-                        from,
-                        AlgorandMsg::SyncRequest {
-                            from_height: self.chain_height() + 1,
-                        },
-                    );
+                    self.request_sync(from, ctx);
                 }
             }
             AlgorandMsg::CertVote { round, hash } => {
                 if round == self.round {
                     self.record_cert_vote(from, hash, ctx);
                 } else if round > self.round {
-                    ctx.send(
-                        from,
-                        AlgorandMsg::SyncRequest {
-                            from_height: self.chain_height() + 1,
-                        },
-                    );
+                    self.request_sync(from, ctx);
                 }
             }
             AlgorandMsg::SyncRequest { from_height } => {
@@ -634,38 +552,30 @@ impl Protocol for AlgorandNode {
 
     fn on_restart(&mut self, ctx: &mut Ctx<'_, Self>) {
         self.pool.clear_pending();
-        self.exec_queue.clear();
-        self.exec_busy_until = ctx.now();
         self.dyn_filter = self.config.default_filter;
         self.blocks_by_hash.clear();
-        for height in self.executed_height + 1..=self.chain_height() {
-            let txs_len = self.chain[(height - 1) as usize].len();
-            let cost = self.config.exec_per_block + self.config.exec_per_tx * txs_len as u64;
-            let start = self.exec_busy_until.max(ctx.now());
-            let done_at = start + cost;
-            self.exec_busy_until = done_at;
-            self.exec_queue.push((height, done_at));
+        let config = &self.config;
+        for done_at in self
+            .replica
+            .restart(ctx.now(), |block| config.exec_cost(block.len()))
+        {
             ctx.set_timer(done_at - ctx.now(), AlgorandTimer::ExecDone);
         }
         self.conn.redial_all(ctx.now());
-        self.enter_round(self.chain_height() + 1, ctx);
+        self.enter_round(self.replica.height() + 1, ctx);
         ctx.set_timer(self.config.conn_tick, AlgorandTimer::ConnTick);
         ctx.set_timer(self.config.pull_interval, AlgorandTimer::PullTick);
         self.run_conn_tick(ctx);
         ctx.multicast(
             self.conn.connected_peers(),
             AlgorandMsg::SyncRequest {
-                from_height: self.chain_height() + 1,
+                from_height: self.replica.height() + 1,
             },
         );
     }
 
     fn contention_stats(&self) -> ContentionStats {
-        ContentionStats {
-            pool_evictions: self.pool.rejected_full(),
-            pool_replacements: self.pool.rejected_conflict(),
-            ..ContentionStats::default()
-        }
+        self.pool.contention_stats()
     }
 }
 
@@ -734,7 +644,10 @@ mod tests {
             "filter should have adapted below the default, is {}",
             node.current_filter()
         );
-        assert!(node.chain_height() > 20, "rounds keep turning without load");
+        assert!(
+            node.replica().height() > 20,
+            "rounds keep turning without load"
+        );
     }
 
     #[test]
@@ -822,7 +735,7 @@ mod tests {
         // Compare executed ledgers: all alive nodes must have executed
         // the same number of transactions (replica consistency).
         let executed: HashSet<u64> = (0..9u32)
-            .map(|i| s.node(NodeId::new(i)).ledger().executed())
+            .map(|i| s.node(NodeId::new(i)).replica().ledger().executed())
             .collect();
         assert_eq!(executed.len(), 1, "replicas diverged: {executed:?}");
     }

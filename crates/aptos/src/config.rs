@@ -45,10 +45,9 @@ pub struct AptosConfig {
     pub conn: ConnConfig,
     /// Connection-manager tick period.
     pub conn_tick: SimDuration,
-    /// Models production-shaped contention: funds the whole declared
-    /// account population lazily (instead of the paper's 256 prefunded
-    /// accounts) and enables the Block-STM within-block conflict model.
-    /// Off by default so the paper-standard runs are byte-identical.
+    /// Enables the Block-STM within-block conflict model. The harness
+    /// sets it exactly when the workload carries a traffic model; the
+    /// paper-standard stream's disjoint accounts never conflict.
     pub model_contention: bool,
 }
 
@@ -93,18 +92,5 @@ mod tests {
             per_second_cost < 1_000_000,
             "executor saturated at baseline load"
         );
-    }
-}
-
-impl AptosConfig {
-    /// Pairs this config with a Byzantine spec, producing the config of
-    /// [`ByzantineAptosNode`](crate::ByzantineAptosNode): the named
-    /// nodes run the same protocol but mutate, equivocate, delay or
-    /// withhold their outbound messages.
-    pub fn with_byzantine(
-        self,
-        spec: stabl_sim::ByzantineSpec,
-    ) -> stabl_sim::ByzConfig<AptosConfig> {
-        stabl_sim::ByzConfig::new(self, spec)
     }
 }

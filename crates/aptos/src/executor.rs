@@ -9,10 +9,9 @@
 //! were already committed — the overhead the paper traces the secure
 //! client's Aptos degradation to (§7).
 //!
-//! The executor is modelled as a single busy-until timeline: work items
-//! are serialised, each block completes at `max(now, busy_until) + cost`,
-//! and the owning node arms a timer for that instant to deliver commit
-//! notifications.
+//! This type prices the work; the serial timeline blocks queue on
+//! (each completes at `max(now, busy_until) + cost`) is the node's
+//! [`Replica`](stabl_types::Replica), shared with the other chains.
 
 use std::collections::BTreeMap;
 
@@ -25,16 +24,8 @@ const ANCILLARY_HALF_LIFE: SimDuration = SimDuration::from_secs(2);
 /// execution is stretched by at most `1 / (1 - CAP)`.
 const CONTENTION_CAP: f64 = 0.75;
 
-/// A committed block waiting for (or undergoing) execution.
-#[derive(Clone, Debug)]
-struct PendingExec {
-    block: Block,
-    /// When execution of this block finishes.
-    done_at: SimTime,
-}
-
-/// The Block-STM timing model: a serialised block-execution timeline
-/// sharing the node's cores with *ancillary* speculative work.
+/// The Block-STM timing model: what a block costs to execute while it
+/// shares the node's cores with *ancillary* speculative work.
 ///
 /// Ancillary work (request validation, shared-mempool ingestion,
 /// `SEQUENCE_NUMBER_TOO_OLD` re-executions) does not queue ahead of
@@ -46,41 +37,28 @@ struct PendingExec {
 pub struct BlockStmExecutor {
     per_tx: SimDuration,
     per_block: SimDuration,
-    busy_until: SimTime,
-    queue: Vec<PendingExec>,
     ancillary: CpuMeter,
     stale_reexecutions: u64,
-    blocks_executed: u64,
     model_conflicts: bool,
     conflict_aborts: u64,
 }
 
 impl BlockStmExecutor {
     /// Creates an executor with the given per-transaction and per-block
-    /// costs. Within-block conflict modelling is off — the paper's
-    /// disjoint-account workload never conflicts, so the legacy timing
-    /// is preserved exactly.
-    pub fn new(per_tx: SimDuration, per_block: SimDuration) -> Self {
+    /// costs. With `model_conflicts`, transactions of a block that touch
+    /// the same account (as sender or receiver) abort and re-execute
+    /// speculatively, adding one `per_tx` charge per conflict; the
+    /// paper's disjoint-account workload never conflicts, so it runs
+    /// with the model off.
+    pub fn new(per_tx: SimDuration, per_block: SimDuration, model_conflicts: bool) -> Self {
         BlockStmExecutor {
             per_tx,
             per_block,
-            busy_until: SimTime::ZERO,
-            queue: Vec::new(),
             ancillary: CpuMeter::new(ANCILLARY_HALF_LIFE),
             stale_reexecutions: 0,
-            blocks_executed: 0,
-            model_conflicts: false,
+            model_conflicts,
             conflict_aborts: 0,
         }
-    }
-
-    /// Enables the Block-STM within-block conflict model: transactions
-    /// of a block that touch the same account (as sender or receiver)
-    /// abort and re-execute speculatively, adding one `per_tx` charge
-    /// per conflict. Production-shaped Zipf traffic turns this on.
-    pub fn with_conflict_model(mut self) -> Self {
-        self.model_conflicts = true;
-        self
     }
 
     /// Counts within-block read-write conflicts: for every account
@@ -108,31 +86,18 @@ impl BlockStmExecutor {
         1.0 / (1.0 - self.ancillary_rate(now).min(CONTENTION_CAP))
     }
 
-    /// Enqueues a committed block for execution; returns the time at
-    /// which its execution completes (arm a timer for it).
-    pub fn submit_block(&mut self, now: SimTime, block: Block) -> SimTime {
+    /// The execution time of `block` if it is submitted at `now`: the
+    /// per-block and per-transaction charges, one more per-transaction
+    /// charge for every conflict abort (counted here), stretched by the
+    /// current ancillary load.
+    pub fn block_cost(&mut self, now: SimTime, block: &Block) -> SimDuration {
         let mut base = self.per_block + self.per_tx * block.len() as u64;
         if self.model_conflicts {
-            let conflicts = Self::block_conflicts(&block);
+            let conflicts = Self::block_conflicts(block);
             self.conflict_aborts += conflicts;
             base += self.per_tx * conflicts;
         }
-        let cost = base.mul_f64(self.contention_factor(now));
-        let start = self.busy_until.max(now);
-        let done_at = start + cost;
-        self.busy_until = done_at;
-        self.queue.push(PendingExec { block, done_at });
-        done_at
-    }
-
-    /// Takes the executed block whose completion time has been reached.
-    ///
-    /// Returns `None` for spurious timer fires (e.g. after a restart
-    /// cleared the queue).
-    pub fn take_completed(&mut self, now: SimTime) -> Option<Block> {
-        let pos = self.queue.iter().position(|p| p.done_at <= now)?;
-        self.blocks_executed += 1;
-        Some(self.queue.remove(pos).block)
+        base.mul_f64(self.contention_factor(now))
     }
 
     /// Charges ancillary work (request validation, speculative dispatch):
@@ -148,37 +113,19 @@ impl BlockStmExecutor {
         self.charge(now, cost);
     }
 
-    /// When the executor becomes idle.
-    pub fn busy_until(&self) -> SimTime {
-        self.busy_until
-    }
-
-    /// Blocks waiting for or undergoing execution.
-    pub fn backlog(&self) -> usize {
-        self.queue.len()
-    }
-
     /// Number of stale re-executions charged so far.
     pub fn stale_reexecutions(&self) -> u64 {
         self.stale_reexecutions
     }
 
     /// Number of within-block conflict aborts (zero unless the conflict
-    /// model is enabled via [`BlockStmExecutor::with_conflict_model`]).
+    /// model is on).
     pub fn conflict_aborts(&self) -> u64 {
         self.conflict_aborts
     }
 
-    /// Number of blocks fully executed.
-    pub fn blocks_executed(&self) -> u64 {
-        self.blocks_executed
-    }
-
-    /// Drops queued work (volatile state lost in a restart; committed
-    /// blocks are re-executed through state sync instead).
-    pub fn clear(&mut self, now: SimTime) {
-        self.queue.clear();
-        self.busy_until = now;
+    /// Forgets the ancillary load (volatile state lost in a restart).
+    pub fn reset(&mut self, now: SimTime) {
         self.ancillary.reset(now);
     }
 }
@@ -199,45 +146,24 @@ mod tests {
     }
 
     fn exec() -> BlockStmExecutor {
-        BlockStmExecutor::new(SimDuration::from_millis(2), SimDuration::from_millis(10))
+        BlockStmExecutor::new(
+            SimDuration::from_millis(2),
+            SimDuration::from_millis(10),
+            false,
+        )
     }
 
     #[test]
     fn cost_scales_with_block_size() {
         let mut e = exec();
-        let done = e.submit_block(SimTime::ZERO, block(1, 5));
-        assert_eq!(done, SimTime::from_millis(20)); // 10 + 5*2
-    }
-
-    #[test]
-    fn blocks_serialise() {
-        let mut e = exec();
-        let d1 = e.submit_block(SimTime::ZERO, block(1, 5));
-        let d2 = e.submit_block(SimTime::ZERO, block(2, 5));
-        assert_eq!(d2, d1 + SimDuration::from_millis(20));
-        assert_eq!(e.backlog(), 2);
-    }
-
-    #[test]
-    fn take_completed_in_order() {
-        let mut e = exec();
-        let d1 = e.submit_block(SimTime::ZERO, block(1, 1));
-        let d2 = e.submit_block(SimTime::ZERO, block(2, 1));
-        assert!(
-            e.take_completed(SimTime::ZERO).is_none(),
-            "nothing done yet"
-        );
-        let b1 = e.take_completed(d1).expect("first block done");
-        assert_eq!(b1.height(), 1);
-        let b2 = e.take_completed(d2).expect("second block done");
-        assert_eq!(b2.height(), 2);
-        assert_eq!(e.blocks_executed(), 2);
+        let cost = e.block_cost(SimTime::ZERO, &block(1, 5));
+        assert_eq!(cost, SimDuration::from_millis(20)); // 10 + 5*2
     }
 
     #[test]
     fn charges_stretch_later_blocks() {
         let mut idle = exec();
-        let undisturbed = idle.submit_block(SimTime::ZERO, block(1, 0));
+        let undisturbed_cost = idle.block_cost(SimTime::ZERO, &block(1, 0));
         let mut busy = exec();
         // Sustained ancillary load of ~0.5 cores (well past the meter's
         // half-life warm-up) stretches execution towards 2x.
@@ -245,9 +171,7 @@ mod tests {
             busy.charge(SimTime::from_millis(ms), SimDuration::from_micros(500));
         }
         let at = SimTime::from_millis(12_000);
-        let stretched = busy.submit_block(at, block(1, 0));
-        let undisturbed_cost = undisturbed - SimTime::ZERO;
-        let stretched_cost = stretched - at;
+        let stretched_cost = busy.block_cost(at, &block(1, 0));
         assert!(
             stretched_cost > undisturbed_cost.mul_f64(1.5),
             "expected ≥1.5x stretch: {stretched_cost} vs {undisturbed_cost}"
@@ -267,13 +191,6 @@ mod tests {
     }
 
     #[test]
-    fn idle_time_is_not_charged() {
-        let mut e = exec();
-        let done = e.submit_block(SimTime::from_secs(5), block(1, 0));
-        assert_eq!(done, SimTime::from_secs(5) + SimDuration::from_millis(10));
-    }
-
-    #[test]
     fn stale_counter_tracks() {
         let mut e = exec();
         e.charge_stale(SimTime::ZERO, SimDuration::from_millis(4));
@@ -286,28 +203,33 @@ mod tests {
     fn conflict_model_charges_reexecutions() {
         // Five transfers from the same hot sender: 4 sender conflicts
         // plus 4 receiver conflicts (all pay AccountId 1) = 8 aborts.
-        let mut e = exec().with_conflict_model();
-        let done = e.submit_block(SimTime::ZERO, block(1, 5));
+        let mut e = BlockStmExecutor {
+            model_conflicts: true,
+            ..exec()
+        };
+        let cost = e.block_cost(SimTime::ZERO, &block(1, 5));
         // 10ms per block + 5*2ms per tx + 8*2ms conflict re-executions.
-        assert_eq!(done, SimTime::from_millis(36));
+        assert_eq!(cost, SimDuration::from_millis(36));
         assert_eq!(e.conflict_aborts(), 8);
 
         // Off by default: same block costs the legacy 20ms, no aborts.
         let mut legacy = exec();
         assert_eq!(
-            legacy.submit_block(SimTime::ZERO, block(1, 5)),
-            SimTime::from_millis(20)
+            legacy.block_cost(SimTime::ZERO, &block(1, 5)),
+            SimDuration::from_millis(20)
         );
         assert_eq!(legacy.conflict_aborts(), 0);
     }
 
     #[test]
-    fn clear_drops_queue() {
+    fn reset_forgets_the_ancillary_load() {
         let mut e = exec();
-        e.submit_block(SimTime::ZERO, block(1, 10));
-        e.clear(SimTime::from_millis(5));
-        assert_eq!(e.backlog(), 0);
-        assert!(e.take_completed(SimTime::from_secs(1)).is_none());
-        assert_eq!(e.busy_until(), SimTime::from_millis(5));
+        e.charge(SimTime::ZERO, SimDuration::from_secs(1));
+        assert!(e.contention_factor(SimTime::ZERO) > 1.0);
+        e.reset(SimTime::ZERO);
+        assert_eq!(
+            e.block_cost(SimTime::ZERO, &block(1, 0)),
+            SimDuration::from_millis(10)
+        );
     }
 }

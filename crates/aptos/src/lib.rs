@@ -28,11 +28,3 @@ mod node;
 pub use config::AptosConfig;
 pub use executor::BlockStmExecutor;
 pub use node::{AptosMsg, AptosNode, AptosTimer};
-
-// Placeholder modules for the other crates are created as those crates
-// are implemented; nothing else lives here.
-
-/// [`AptosNode`] wrapped with message-level Byzantine behaviors
-/// (mutate, equivocate, delay, withhold) for selected nodes; configure
-/// via [`AptosConfig::with_byzantine`].
-pub type ByzantineAptosNode = stabl_sim::ByzantineWrapper<AptosNode>;

@@ -4,8 +4,8 @@
 
 use std::collections::{BTreeMap, BTreeSet};
 
-use stabl_sim::{ConnAction, ConnectionManager, ContentionStats, Ctx, NodeId, Protocol, SimTime};
-use stabl_types::{AccountPool, Block, Hash32, Ledger, Transaction, TxId};
+use stabl_sim::{ConnectionManager, ContentionStats, Ctx, NodeId, Protocol, SimTime};
+use stabl_types::{AccountPool, Block, Hash32, Replica, Transaction, TxId};
 
 use crate::{AptosConfig, BlockStmExecutor};
 
@@ -95,10 +95,8 @@ pub struct AptosNode {
     id: NodeId,
     n: usize,
     config: AptosConfig,
-    // Durable state.
-    chain: Vec<Block>,
-    ledger: Ledger,
-    executed_height: u64,
+    /// The committed chain, the ledger and the execution pipeline.
+    replica: Replica<Block>,
     // Consensus state (volatile).
     height: u64,
     round: u64,
@@ -125,34 +123,20 @@ impl AptosNode {
         self.n * 2 / 3 + 1
     }
 
-    /// The committed chain height (number of committed blocks).
-    pub fn chain_height(&self) -> u64 {
-        self.chain.len() as u64
-    }
-
-    /// The height up to which blocks have been executed.
-    pub fn executed_height(&self) -> u64 {
-        self.executed_height
-    }
-
     /// Number of pending mempool transactions.
     pub fn mempool_len(&self) -> usize {
         self.pool.len()
     }
 
-    /// The node's ledger (post-execution state).
-    pub fn ledger(&self) -> &Ledger {
-        &self.ledger
+    /// The node's durable state: the committed blocks, the ledger and
+    /// the height executed so far.
+    pub fn replica(&self) -> &Replica<Block> {
+        &self.replica
     }
 
     /// Stale (`SEQUENCE_NUMBER_TOO_OLD`) re-executions observed.
     pub fn stale_reexecutions(&self) -> u64 {
         self.executor.stale_reexecutions()
-    }
-
-    /// The Block-STM executor timing model (for diagnostics).
-    pub fn executor(&self) -> &BlockStmExecutor {
-        &self.executor
     }
 
     /// The round the pacemaker is currently in.
@@ -207,7 +191,7 @@ impl AptosNode {
     fn propose(&mut self, ctx: &mut Ctx<'_, Self>) {
         ctx.span("propose");
         let txs = self.pool.take_ready(self.config.max_block_txs);
-        let parent = self.chain.last().map(Block::hash).unwrap_or(Hash32::ZERO);
+        let parent = self.replica.tip().map_or(Hash32::ZERO, Block::hash);
         let block = Block::new(parent, self.height, self.id, txs);
         let msg = AptosMsg::Proposal {
             height: self.height,
@@ -237,12 +221,7 @@ impl AptosNode {
         if height != self.height || round != self.round || self.proposal.is_some() {
             if height > self.height && !self.syncing {
                 self.syncing = true;
-                ctx.send(
-                    from,
-                    AptosMsg::SyncRequest {
-                        from_height: self.chain_height() + 1,
-                    },
-                );
+                self.request_sync(from, ctx);
             }
             return;
         }
@@ -308,28 +287,29 @@ impl AptosNode {
                     // Certified but the proposal never arrived: fetch it.
                     if !self.syncing {
                         self.syncing = true;
-                        ctx.send(
-                            from,
-                            AptosMsg::SyncRequest {
-                                from_height: self.chain_height() + 1,
-                            },
-                        );
+                        self.request_sync(from, ctx);
                     }
                 }
             }
         }
     }
 
-    fn commit_block(&mut self, block: Block, ctx: &mut Ctx<'_, Self>) {
-        debug_assert_eq!(block.height(), self.chain_height() + 1);
+    /// Appends an agreed block to the chain and schedules its Block-STM
+    /// execution.
+    fn append_block(&mut self, block: Block, ctx: &mut Ctx<'_, Self>) {
         for tx in block.txs() {
             self.pool.mark_committed(tx.from(), tx.nonce() + 1);
         }
-        let done_at = self.executor.submit_block(ctx.now(), block.clone());
+        let cost = self.executor.block_cost(ctx.now(), &block);
+        let done_at = self.replica.append(ctx.now(), block, cost);
         ctx.set_timer(done_at - ctx.now(), AptosTimer::ExecDone);
-        self.chain.push(block);
+    }
+
+    fn commit_block(&mut self, block: Block, ctx: &mut Ctx<'_, Self>) {
+        debug_assert_eq!(block.height(), self.replica.height() + 1);
+        self.append_block(block, ctx);
         self.consecutive_failures = 0;
-        let next = self.chain_height() + 1;
+        let next = self.replica.height() + 1;
         self.enter_round(next, 0, ctx);
     }
 
@@ -384,12 +364,7 @@ impl AptosNode {
     }
 
     fn handle_sync_request(&mut self, from: NodeId, from_height: u64, ctx: &mut Ctx<'_, Self>) {
-        if from_height > self.chain_height() {
-            return;
-        }
-        let start = (from_height.max(1) - 1) as usize;
-        let end = (start + 50).min(self.chain.len());
-        let blocks = self.chain[start..end].to_vec();
+        let blocks = self.replica.page(from_height.max(1), 50).to_vec();
         if !blocks.is_empty() {
             ctx.send(from, AptosMsg::SyncResponse { blocks });
         }
@@ -398,50 +373,35 @@ impl AptosNode {
     fn handle_sync_response(&mut self, from: NodeId, blocks: Vec<Block>, ctx: &mut Ctx<'_, Self>) {
         let mut advanced = false;
         for block in blocks {
-            if block.height() == self.chain_height() + 1 {
-                for tx in block.txs() {
-                    self.pool.mark_committed(tx.from(), tx.nonce() + 1);
-                }
-                let done_at = self.executor.submit_block(ctx.now(), block.clone());
-                ctx.set_timer(done_at - ctx.now(), AptosTimer::ExecDone);
-                self.chain.push(block);
+            if block.height() == self.replica.height() + 1 {
+                self.append_block(block, ctx);
                 advanced = true;
             }
         }
         self.syncing = false;
         if advanced {
-            let next = self.chain_height() + 1;
+            let next = self.replica.height() + 1;
             self.enter_round(next, 0, ctx);
             // Possibly still behind: ask for more.
-            ctx.send(
-                from,
-                AptosMsg::SyncRequest {
-                    from_height: self.chain_height() + 1,
-                },
-            );
+            self.request_sync(from, ctx);
             self.syncing = true;
         }
     }
 
     fn run_conn_tick(&mut self, ctx: &mut Ctx<'_, Self>) {
-        for action in self.conn.tick(ctx.now()) {
-            match action {
-                ConnAction::SendHeartbeat(peer) => ctx.send(peer, AptosMsg::Heartbeat),
-                ConnAction::SendDial(peer) => ctx.send(peer, AptosMsg::Dial),
-                ConnAction::Disconnected(_) => {}
-            }
-        }
+        self.conn.upkeep(ctx, AptosMsg::Heartbeat, AptosMsg::Dial);
         ctx.set_timer(self.config.conn_tick, AptosTimer::ConnTick);
+    }
+
+    /// Asks `peer` for the committed blocks above our chain.
+    fn request_sync(&self, peer: NodeId, ctx: &mut Ctx<'_, Self>) {
+        let from_height = self.replica.height() + 1;
+        ctx.send(peer, AptosMsg::SyncRequest { from_height });
     }
 
     /// A peer we had lost contact with is back: resynchronise.
     fn on_reconnected(&mut self, peer: NodeId, ctx: &mut Ctx<'_, Self>) {
-        ctx.send(
-            peer,
-            AptosMsg::SyncRequest {
-                from_height: self.chain_height() + 1,
-            },
-        );
+        self.request_sync(peer, ctx);
         // Share our pacemaker position so the peer can catch up rounds.
         ctx.send(
             peer,
@@ -453,23 +413,13 @@ impl AptosNode {
     }
 
     fn drain_executor(&mut self, ctx: &mut Ctx<'_, Self>) {
-        while let Some(block) = self.executor.take_completed(ctx.now()) {
-            if block.height() != self.executed_height + 1 {
-                continue; // stale (pre-restart) completion
-            }
-            for tx in block.txs() {
-                match self.ledger.apply(tx) {
-                    Ok(id) => ctx.commit(id),
-                    Err(_) => {
-                        // SEQUENCE_NUMBER_TOO_OLD (or a gap): charged as a
-                        // speculative re-execution.
-                        self.executor
-                            .charge_stale(ctx.now(), self.config.stale_exec_cost);
-                    }
-                }
-            }
-            self.executed_height = block.height();
-        }
+        let (executor, stale_cost) = (&mut self.executor, self.config.stale_exec_cost);
+        self.replica.drain(ctx.now(), |outcome| match outcome {
+            Ok(id) => ctx.commit(id),
+            // SEQUENCE_NUMBER_TOO_OLD (or a gap): charged as a
+            // speculative re-execution.
+            Err(_) => executor.charge_stale(ctx.now(), stale_cost),
+        });
     }
 }
 
@@ -485,13 +435,7 @@ impl Protocol for AptosNode {
             id,
             n,
             config: config.clone(),
-            chain: Vec::new(),
-            ledger: if config.model_contention {
-                Ledger::with_lazy_balance(u64::MAX / 512)
-            } else {
-                Ledger::with_uniform_balance(256, u64::MAX / 512)
-            },
-            executed_height: 0,
+            replica: Replica::genesis(),
             height: 1,
             round: 0,
             consecutive_failures: 0,
@@ -504,12 +448,11 @@ impl Protocol for AptosNode {
             strikes: vec![0; n],
             excluded_until: vec![SimTime::ZERO; n],
             pool: AccountPool::new(config.mempool_capacity),
-            executor: if config.model_contention {
-                BlockStmExecutor::new(config.exec_per_tx, config.exec_per_block)
-                    .with_conflict_model()
-            } else {
-                BlockStmExecutor::new(config.exec_per_tx, config.exec_per_block)
-            },
+            executor: BlockStmExecutor::new(
+                config.exec_per_tx,
+                config.exec_per_block,
+                config.model_contention,
+            ),
             conn: ConnectionManager::new(id, n, config.conn),
             syncing: false,
         };
@@ -611,7 +554,7 @@ impl Protocol for AptosNode {
     fn on_restart(&mut self, ctx: &mut Ctx<'_, Self>) {
         // Volatile state is gone; the chain and ledger are durable.
         self.pool.clear_pending();
-        self.executor.clear(ctx.now());
+        self.executor.reset(ctx.now());
         self.proposal = None;
         self.votes.clear();
         self.commit_votes.clear();
@@ -624,22 +567,23 @@ impl Protocol for AptosNode {
         self.excluded_until = vec![SimTime::ZERO; self.n];
         // Ledger reflects only executed blocks: re-execute the committed
         // suffix that had not finished executing before the crash.
-        let resume_from = self.executed_height as usize;
-        for index in resume_from..self.chain.len() {
-            let block = self.chain[index].clone();
-            let done_at = self.executor.submit_block(ctx.now(), block);
-            ctx.set_timer(done_at - ctx.now(), AptosTimer::ExecDone);
+        let (executor, now) = (&mut self.executor, ctx.now());
+        for done_at in self
+            .replica
+            .restart(now, |block| executor.block_cost(now, block))
+        {
+            ctx.set_timer(done_at - now, AptosTimer::ExecDone);
         }
         // Active recovery: dial everyone immediately and resync.
         self.conn.redial_all(ctx.now());
-        let next = self.chain_height() + 1;
+        let next = self.replica.height() + 1;
         self.enter_round(next, 0, ctx);
         ctx.set_timer(self.config.conn_tick, AptosTimer::ConnTick);
         self.run_conn_tick(ctx);
         ctx.multicast(
             self.conn.connected_peers(),
             AptosMsg::SyncRequest {
-                from_height: self.chain_height() + 1,
+                from_height: self.replica.height() + 1,
             },
         );
     }
@@ -651,8 +595,7 @@ impl Protocol for AptosNode {
             speculative_reexecutions: self.executor.stale_reexecutions()
                 + self.executor.conflict_aborts(),
             conflict_aborts: self.executor.conflict_aborts(),
-            pool_evictions: self.pool.rejected_full(),
-            pool_replacements: self.pool.rejected_conflict(),
+            ..self.pool.contention_stats()
         }
     }
 }
@@ -700,8 +643,8 @@ mod tests {
             sim.commits().iter().map(|c| c.commit).collect();
         assert_eq!(unique.len(), 1000, "all offered transactions commit");
         let node0 = sim.node(NodeId::new(0));
-        assert!(node0.chain_height() > 10, "chain advances");
-        assert_eq!(node0.ledger().executed(), 1000);
+        assert!(node0.replica().height() > 10, "chain advances");
+        assert_eq!(node0.replica().ledger().executed(), 1000);
     }
 
     #[test]
@@ -796,7 +739,7 @@ mod tests {
         let node0 = sim.node(NodeId::new(0));
         // Node 3's proposer turns timed out at least reputation_strikes
         // times before being excluded, and the chain still advanced.
-        assert!(node0.chain_height() > 20);
+        assert!(node0.replica().height() > 20);
         let unique: std::collections::HashSet<TxId> = sim
             .commits()
             .iter()
@@ -823,7 +766,7 @@ mod tests {
             assert_eq!(commits, 1, "node {node} commits the transfer exactly once");
         }
         let total: u64 = (0..4u32)
-            .map(|i| sim.node(NodeId::new(i)).ledger().executed())
+            .map(|i| sim.node(NodeId::new(i)).replica().ledger().executed())
             .sum();
         assert_eq!(total, 4, "each replica executed the transfer once");
     }

@@ -59,11 +59,6 @@ pub struct AvalancheConfig {
     pub cost_proposal_per_tx: f64,
     /// Execution cost per committed transaction.
     pub cost_exec_per_tx: f64,
-    /// Models production-shaped contention: funds the whole declared
-    /// account population lazily instead of the paper's 256 prefunded
-    /// accounts. Off by default so paper-standard runs are
-    /// byte-identical.
-    pub model_contention: bool,
 }
 
 impl AvalancheConfig {
@@ -102,7 +97,6 @@ impl Default for AvalancheConfig {
             cost_proposal_base: 0.002,
             cost_proposal_per_tx: 0.000_1,
             cost_exec_per_tx: 0.000_3,
-            model_contention: false,
         }
     }
 }
@@ -149,18 +143,5 @@ mod tests {
             storm > cfg.cpu_quota,
             "regossip storm {storm} would not saturate"
         );
-    }
-}
-
-impl AvalancheConfig {
-    /// Pairs this config with a Byzantine spec, producing the config of
-    /// [`ByzantineAvalancheNode`](crate::ByzantineAvalancheNode): the named
-    /// nodes run the same protocol but mutate, equivocate, delay or
-    /// withhold their outbound messages.
-    pub fn with_byzantine(
-        self,
-        spec: stabl_sim::ByzantineSpec,
-    ) -> stabl_sim::ByzConfig<AvalancheConfig> {
-        stabl_sim::ByzConfig::new(self, spec)
     }
 }

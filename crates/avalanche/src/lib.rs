@@ -31,8 +31,3 @@ pub use config::AvalancheConfig;
 pub use node::{AvalancheMsg, AvalancheNode, AvalancheTimer};
 pub use snowball::Snowball;
 pub use throttle::{Admission, InboundThrottler};
-
-/// [`AvalancheNode`] wrapped with message-level Byzantine behaviors
-/// (mutate, equivocate, delay, withhold) for selected nodes; configure
-/// via [`AvalancheConfig::with_byzantine`].
-pub type ByzantineAvalancheNode = stabl_sim::ByzantineWrapper<AvalancheNode>;

@@ -491,11 +491,7 @@ impl Protocol for AvalancheNode {
             k_eff,
             alpha_eff,
             chain: Vec::new(),
-            ledger: if config.model_contention {
-                Ledger::with_lazy_balance(u64::MAX / 512)
-            } else {
-                Ledger::with_uniform_balance(256, u64::MAX / 512)
-            },
+            ledger: Ledger::genesis(),
             proposals: BTreeMap::new(),
             snowball: Snowball::new(alpha_eff, config.beta),
             proposed: None,
@@ -576,11 +572,7 @@ impl Protocol for AvalancheNode {
     }
 
     fn contention_stats(&self) -> ContentionStats {
-        ContentionStats {
-            pool_evictions: self.pool.rejected_full(),
-            pool_replacements: self.pool.rejected_conflict(),
-            ..ContentionStats::default()
-        }
+        self.pool.contention_stats()
     }
 }
 

@@ -3,7 +3,8 @@
 use serde::Serialize;
 use stabl::metrics::{downtime_seconds, throughput_drop, Ecdf, RecoveryReport, Sensitivity};
 use stabl::report::{RunSummary, ScenarioReport, SensitivityRecord};
-use stabl::{Chain, ScenarioKind};
+use stabl::{Chain, PaperSetup, ScenarioKind};
+use stabl_sim::SimTime;
 
 use crate::{
     radar_rows, replication_table, run_campaign, run_replicated_campaign, sensitivity_table,
@@ -155,9 +156,30 @@ pub fn fig3_sensitivity_ci(opts: &BenchOpts) {
     opts.write_json("fig3_sensitivity_ci_telemetry.json", &telemetry);
 }
 
+/// Seconds [`throughput`]'s printed report trims from both ends of a
+/// run (warm-up and drain).
+const REPORT_MARGIN_S: usize = 5;
+
+/// Rejects a setup whose fault comes before [`throughput`]'s pre-fault
+/// report window (margin → fault) opens, naming the shortest `--quick`
+/// that fits (`PaperSetup::quick` faults at a third of the horizon).
+pub fn throughput_fits(setup: &PaperSetup) -> Result<(), String> {
+    if setup.fault_at > SimTime::from_secs(REPORT_MARGIN_S as u64) {
+        return Ok(());
+    }
+    Err(format!(
+        "the throughput report skips the first and last {REPORT_MARGIN_S} s, but this \
+         {} run injects its fault at {}: use --quick {} or more",
+        setup.horizon,
+        setup.fault_at,
+        3 * (REPORT_MARGIN_S + 1)
+    ))
+}
+
 /// Figs. 4–6 — throughput of the five blockchains over time in the
 /// baseline and under the `kind` alteration (1-second bins), written as
-/// `fig<N>_throughput_<kind>.<chain>.csv`.
+/// `fig<N>_throughput_<kind>.<chain>.csv`. Dispatch has checked that
+/// [`throughput_fits`] the setup.
 pub fn throughput(opts: &BenchOpts, figure: u8, kind: ScenarioKind) {
     let setup = &opts.setup;
     eprintln!(
@@ -183,8 +205,8 @@ pub fn throughput(opts: &BenchOpts, figure: u8, kind: ScenarioKind) {
         println!(
             "{:<10} baseline {:>6.1} tps | altered: pre {:>6.1}  during {:>6.1}  after {:>6.1} tps | peak after {:>5}",
             chain.name(),
-            base_tp.mean_over(5, end_s - 5),
-            alt_tp.mean_over(5, fault_s),
+            base_tp.mean_over(REPORT_MARGIN_S, end_s - REPORT_MARGIN_S),
+            alt_tp.mean_over(REPORT_MARGIN_S, fault_s),
             alt_tp.mean_over(fault_s, recover_s.min(end_s - 1)),
             alt_tp.mean_over(recover_s.min(end_s - 1), end_s),
             alt_tp.peak_over(recover_s.min(end_s - 1), end_s),
@@ -355,4 +377,17 @@ pub fn dbg_scenario(opts: &BenchOpts) {
         }
     }
     println!();
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn throughput_report_fits_from_quick_18_up() {
+        assert!(throughput_fits(&PaperSetup::default()).is_ok());
+        assert!(throughput_fits(&PaperSetup::quick(18, 1)).is_ok());
+        let err = throughput_fits(&PaperSetup::quick(17, 1)).expect_err("fault at 5 s");
+        assert!(err.contains("--quick 18"), "{err}");
+    }
 }

@@ -319,6 +319,11 @@ impl Campaign {
     /// Parses `args` and runs the campaign.
     fn run_with(&self, args: impl IntoIterator<Item = String>) -> Result<(), String> {
         let opts = BenchOpts::parse(args)?;
+        // Figs. 4–6 end in `figures::throughput`'s trimmed report, which
+        // a very short `--quick` horizon cannot fit.
+        if self.name.contains("_throughput_") {
+            figures::throughput_fits(&opts.setup).map_err(|e| format!("{}: {e}", self.name))?;
+        }
         match (self.name == TAKES_OPERANDS, opts.scenario) {
             (true, None) => Err(format!(
                 "usage: stabl-bench {} <chain> <scenario>",

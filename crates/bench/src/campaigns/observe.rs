@@ -71,15 +71,6 @@ pub fn trace(opts: &BenchOpts) {
             &stabl::observe::stats_json(&traced.result.stats),
         );
 
-        if traced.result.stats.dropped_trace_lines > 0 {
-            eprintln!(
-                "WARNING: {}: {} free-text trace lines were dropped at the kernel ring — \
-                 the textual trace is incomplete",
-                chain.name(),
-                traced.result.stats.dropped_trace_lines
-            );
-        }
-
         let counters = &traced.trace.counters;
         let stages = &traced.result.stages;
         println!(

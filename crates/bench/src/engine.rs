@@ -709,10 +709,6 @@ mod tests {
                 ..base.clone()
             },
             RunConfig {
-                model_contention: true,
-                ..base.clone()
-            },
-            RunConfig {
                 workload: stabl::WorkloadSpec::production(
                     base.workload.end,
                     stabl::TrafficModel::production(900, 4),

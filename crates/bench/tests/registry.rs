@@ -62,6 +62,21 @@ fn names_are_the_legacy_binary_names() {
 }
 
 #[test]
+fn throughput_figures_reject_a_horizon_their_report_cannot_fit() {
+    // Before any cell runs: dispatch returns the usage error `main`
+    // turns into exit 2.
+    for name in [
+        "fig4_throughput_crash",
+        "fig5_throughput_transient",
+        "fig6_throughput_partition",
+    ] {
+        let args = [name, "--quick", "8"].map(str::to_owned).to_vec();
+        let err = campaigns::dispatch(args).expect_err("8 s cannot fit 5 s margins");
+        assert!(err.contains(name) && err.contains("--quick 18"), "{err}");
+    }
+}
+
+#[test]
 fn every_committed_artifact_is_claimed_by_exactly_one_campaign() {
     let mut claims: BTreeMap<String, Vec<&str>> = BTreeMap::new();
     for campaign in REGISTRY {

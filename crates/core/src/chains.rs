@@ -94,16 +94,11 @@ impl Chain {
         capture: CaptureLevel,
     ) -> TracedRun {
         assert!(cores > 0.0, "cores factor must be positive");
-        // Production-shaped workloads need the contention machinery:
-        // lazy genesis funding for the scattered account population and
-        // (on Aptos) the Block-STM within-block conflict model.
-        let contention = config.contention_active();
         match self {
             Chain::Algorand => {
                 let mut c = AlgorandConfig::default();
                 c.exec_per_tx = c.exec_per_tx.mul_f64(1.0 / cores);
                 c.exec_per_block = c.exec_per_block.mul_f64(1.0 / cores);
-                c.model_contention = contention;
                 run_protocol_traced::<AlgorandNode>(config, c, capture)
             }
             Chain::Aptos => {
@@ -112,27 +107,25 @@ impl Chain {
                 c.exec_per_block = c.exec_per_block.mul_f64(1.0 / cores);
                 c.validation_cost = c.validation_cost.mul_f64(1.0 / cores);
                 c.stale_exec_cost = c.stale_exec_cost.mul_f64(1.0 / cores);
-                c.model_contention = contention;
+                // Only a traffic-model workload can put conflicting
+                // transactions in one block (paper-standard senders are disjoint).
+                c.model_contention = config.workload.traffic.is_some();
                 run_protocol_traced::<AptosNode>(config, c, capture)
             }
             Chain::Avalanche => {
                 let mut c = AvalancheConfig::default();
                 c.cpu_quota *= cores;
-                c.model_contention = contention;
                 run_protocol_traced::<AvalancheNode>(config, c, capture)
             }
             Chain::Redbelly => {
                 let mut c = RedbellyConfig::default();
                 c.exec_per_tx = c.exec_per_tx.mul_f64(1.0 / cores);
                 c.exec_per_block = c.exec_per_block.mul_f64(1.0 / cores);
-                c.model_contention = contention;
                 run_protocol_traced::<RedbellyNode>(config, c, capture)
             }
+            // The Solana model has no CPU-cost term, so `cores` is moot.
             Chain::Solana => {
-                let mut c = SolanaConfig::default();
-                c.exec_per_tx = c.exec_per_tx.mul_f64(1.0 / cores);
-                c.model_contention = contention;
-                run_protocol_traced::<SolanaNode>(config, c, capture)
+                run_protocol_traced::<SolanaNode>(config, SolanaConfig::default(), capture)
             }
         }
     }

@@ -566,7 +566,8 @@ pub struct Diagnosis {
     pub lost_liveness: bool,
     /// Events evicted from the recorder ring (under-counted timeline).
     pub dropped_events: u64,
-    /// Free-text trace lines evicted from the kernel ring.
+    /// Always 0 (a copy of `SimStats::dropped_trace_lines`); kept
+    /// because serialised diagnoses are pinned bytes.
     pub dropped_trace_lines: u64,
     /// Speculative (Block-STM) transaction re-executions, stale plus
     /// conflict-driven. Zero under the paper's contention-free workload.
@@ -1094,13 +1095,6 @@ pub fn html_report(run: &DiagnosedRun) -> String {
             "<p class=\"warn\">warning: {} events were evicted from the recorder ring — the \
              earliest frames under-count.</p>\n",
             diagnosis.dropped_events
-        ));
-    }
-    if diagnosis.dropped_trace_lines > 0 {
-        html.push_str(&format!(
-            "<p class=\"warn\">warning: {} free-text trace lines were dropped at the kernel \
-             ring.</p>\n",
-            diagnosis.dropped_trace_lines
         ));
     }
     let contention = diagnosis.speculative_reexecutions

@@ -52,11 +52,6 @@ pub struct RunConfig {
     /// Liveness rule: the run lost liveness if transactions are left
     /// unresolved and nothing committed in this final window.
     pub stall_grace: SimDuration,
-    /// Forces the chains' contention models on (lazy genesis funding,
-    /// Block-STM conflict accounting) even for a legacy workload.
-    /// Traffic-model workloads ([`WorkloadSpec::production`]) enable
-    /// them regardless of this flag.
-    pub model_contention: bool,
 }
 
 impl RunConfig {
@@ -77,14 +72,7 @@ impl RunConfig {
             byzantine_rpc: Vec::new(),
             retry: None,
             stall_grace: SimDuration::from_secs(10),
-            model_contention: false,
         }
-    }
-
-    /// `true` if this run should enable the chains' contention models
-    /// (explicitly requested, or implied by a traffic-model workload).
-    pub fn contention_active(&self) -> bool {
-        self.model_contention || self.workload.traffic.is_some()
     }
 }
 

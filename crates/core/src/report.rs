@@ -30,9 +30,8 @@ pub struct RunSummary {
     pub lost_liveness: bool,
     /// Validators that aborted fatally.
     pub panicked_nodes: usize,
-    /// Free-text trace lines evicted from the kernel's bounded ring —
-    /// non-zero means the run's textual trace is incomplete and any
-    /// trace-derived analysis under-counts.
+    /// Always 0 (a copy of `SimStats::dropped_trace_lines`); kept
+    /// because serialised summaries are pinned bytes.
     pub dropped_trace_lines: u64,
 }
 
@@ -77,13 +76,6 @@ impl fmt::Display for RunSummary {
         }
         if self.panicked_nodes > 0 {
             write!(f, ", {} nodes panicked", self.panicked_nodes)?;
-        }
-        if self.dropped_trace_lines > 0 {
-            write!(
-                f,
-                ", WARNING: {} trace lines dropped",
-                self.dropped_trace_lines
-            )?;
         }
         Ok(())
     }
@@ -240,21 +232,6 @@ mod tests {
         assert_eq!(summary.p50_latency, None);
         assert_eq!(summary.p95_latency, None);
         assert_eq!(summary.max_latency, None);
-    }
-
-    #[test]
-    fn summary_surfaces_dropped_trace_lines() {
-        let mut run = result_with_latencies(&[0.5]);
-        assert!(!RunSummary::of(&run).to_string().contains("WARNING"));
-        run.stats.dropped_trace_lines = 7;
-        let summary = RunSummary::of(&run);
-        assert_eq!(summary.dropped_trace_lines, 7);
-        assert!(
-            summary
-                .to_string()
-                .contains("WARNING: 7 trace lines dropped"),
-            "{summary}"
-        );
     }
 
     #[test]

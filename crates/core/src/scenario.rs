@@ -183,7 +183,6 @@ impl PaperSetup {
             byzantine_rpc: Vec::new(),
             retry: None,
             stall_grace: self.stall_grace,
-            model_contention: false,
         }
     }
 

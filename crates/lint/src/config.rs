@@ -104,6 +104,7 @@ impl Default for Config {
             manifest: Some("crates/bench/src/engine.rs".to_owned()),
             shard: vec![
                 "crates/sim/src".to_owned(),
+                "crates/types/src".to_owned(),
                 "crates/algorand/src".to_owned(),
                 "crates/aptos/src".to_owned(),
                 "crates/avalanche/src".to_owned(),

@@ -48,8 +48,8 @@ fn workspace_lints_clean() {
     );
     assert_eq!(
         report.certifications.len(),
-        7,
-        "sim, the five chains and the workload generator are certified"
+        8,
+        "sim, the shared node state (types), the five chains and the workload generator are certified"
     );
 }
 

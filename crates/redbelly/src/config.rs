@@ -23,8 +23,6 @@ pub struct RedbellyConfig {
     /// How long a node waits for missing proposals before it starts
     /// deciding 0 for the absent slots.
     pub proposal_grace: SimDuration,
-    /// Timeout of one binary-consensus round (echo collection).
-    pub binary_round_timeout: SimDuration,
     /// Period of the retransmission loop for stalled heights.
     pub retransmit_interval: SimDuration,
     /// A height is considered stalled (and retransmitted) after this.
@@ -38,11 +36,13 @@ pub struct RedbellyConfig {
     pub conn: ConnConfig,
     /// Connection-manager tick period.
     pub conn_tick: SimDuration,
-    /// Models production-shaped contention: funds the whole declared
-    /// account population lazily instead of the paper's 256 prefunded
-    /// accounts. Off by default so paper-standard runs are
-    /// byte-identical.
-    pub model_contention: bool,
+}
+
+impl RedbellyConfig {
+    /// Execution time of a committed superblock of `txs` transactions.
+    pub fn exec_cost(&self, txs: usize) -> SimDuration {
+        self.exec_per_block + self.exec_per_tx * txs as u64
+    }
 }
 
 impl Default for RedbellyConfig {
@@ -52,7 +52,6 @@ impl Default for RedbellyConfig {
             pool_capacity: 200_000,
             height_interval: SimDuration::from_millis(400),
             proposal_grace: SimDuration::from_millis(400),
-            binary_round_timeout: SimDuration::from_millis(800),
             retransmit_interval: SimDuration::from_millis(2_000),
             stall_threshold: SimDuration::from_millis(3_000),
             exec_per_tx: SimDuration::from_micros(500),
@@ -65,7 +64,6 @@ impl Default for RedbellyConfig {
                 backoff_cap: SimDuration::from_secs(240),
             },
             conn_tick: SimDuration::from_millis(1_000),
-            model_contention: false,
         }
     }
 }
@@ -77,26 +75,11 @@ mod tests {
     #[test]
     fn default_is_consistent() {
         let cfg = RedbellyConfig::default();
-        assert!(cfg.proposal_grace < cfg.binary_round_timeout);
         assert!(cfg.height_interval >= cfg.proposal_grace);
-        assert!(cfg.stall_threshold > cfg.binary_round_timeout);
         assert!(
             cfg.conn.idle_timeout == SimDuration::from_secs(30),
             "MaxIdleTime"
         );
         assert!(cfg.max_proposal_txs > 0);
-    }
-}
-
-impl RedbellyConfig {
-    /// Pairs this config with a Byzantine spec, producing the config of
-    /// [`ByzantineRedbellyNode`](crate::ByzantineRedbellyNode): the named
-    /// nodes run the same protocol but mutate, equivocate, delay or
-    /// withhold their outbound messages.
-    pub fn with_byzantine(
-        self,
-        spec: stabl_sim::ByzantineSpec,
-    ) -> stabl_sim::ByzConfig<RedbellyConfig> {
-        stabl_sim::ByzConfig::new(self, spec)
     }
 }

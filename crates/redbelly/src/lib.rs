@@ -29,8 +29,3 @@ pub use binary::{BinaryAction, BinaryInstance};
 pub use config::RedbellyConfig;
 pub use credence::CredenceRead;
 pub use node::{RedbellyMsg, RedbellyNode, RedbellyTimer};
-
-/// [`RedbellyNode`] wrapped with message-level Byzantine behaviors
-/// (mutate, equivocate, delay, withhold) for selected nodes; configure
-/// via [`RedbellyConfig::with_byzantine`].
-pub type ByzantineRedbellyNode = stabl_sim::ByzantineWrapper<RedbellyNode>;

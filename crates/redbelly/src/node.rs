@@ -4,8 +4,8 @@
 
 use std::collections::BTreeMap;
 
-use stabl_sim::{ConnAction, ConnectionManager, ContentionStats, Ctx, NodeId, Protocol, SimTime};
-use stabl_types::{AccountPool, Ledger, Transaction, TxId, TxIndex};
+use stabl_sim::{ConnectionManager, ContentionStats, Ctx, NodeId, Protocol, SimTime};
+use stabl_types::{AccountPool, Replica, Transaction, TxId, TxIndex};
 
 use crate::{BinaryAction, BinaryInstance, RedbellyConfig};
 
@@ -123,40 +123,27 @@ pub struct RedbellyNode {
     n: usize,
     t: usize,
     config: RedbellyConfig,
-    // Durable state.
-    chain: Vec<Vec<Transaction>>,
-    ledger: Ledger,
-    executed_height: u64,
+    /// The committed superblocks (their transactions in execution
+    /// order), the ledger and the SEVM execution pipeline.
+    replica: Replica<Vec<Transaction>>,
     // Consensus (volatile).
     height: u64,
     heights: BTreeMap<u64, HeightState>,
-    // Execution pipeline.
-    exec_busy_until: SimTime,
-    exec_queue: Vec<(u64, SimTime)>,
     // Pool and networking.
     pool: AccountPool,
     conn: ConnectionManager,
 }
 
 impl RedbellyNode {
-    /// The committed chain height.
-    pub fn chain_height(&self) -> u64 {
-        self.chain.len() as u64
-    }
-
-    /// The height up to which superblocks are executed.
-    pub fn executed_height(&self) -> u64 {
-        self.executed_height
-    }
-
     /// Pending pool transactions.
     pub fn pool_len(&self) -> usize {
         self.pool.len()
     }
 
-    /// The node's ledger.
-    pub fn ledger(&self) -> &Ledger {
-        &self.ledger
+    /// The node's durable state: the committed superblocks, the ledger and
+    /// the height executed so far.
+    pub fn replica(&self) -> &Replica<Vec<Transaction>> {
+        &self.replica
     }
 
     /// The height currently under DBFT agreement.
@@ -325,24 +312,25 @@ impl RedbellyNode {
         self.commit_superblock(height, superblock, ctx);
     }
 
+    /// Appends an agreed superblock to the chain and schedules its SEVM
+    /// execution.
+    fn append_superblock(&mut self, superblock: Vec<Transaction>, ctx: &mut Ctx<'_, Self>) {
+        for tx in &superblock {
+            self.pool.mark_committed(tx.from(), tx.nonce() + 1);
+        }
+        let cost = self.config.exec_cost(superblock.len());
+        let done_at = self.replica.append(ctx.now(), superblock, cost);
+        ctx.set_timer(done_at - ctx.now(), RedbellyTimer::ExecDone);
+    }
+
     fn commit_superblock(
         &mut self,
         height: u64,
         superblock: Vec<Transaction>,
         ctx: &mut Ctx<'_, Self>,
     ) {
-        debug_assert_eq!(height, self.chain_height() + 1);
-        for tx in &superblock {
-            self.pool.mark_committed(tx.from(), tx.nonce() + 1);
-        }
-        // Schedule SEVM execution.
-        let cost = self.config.exec_per_block + self.config.exec_per_tx * superblock.len() as u64;
-        let start = self.exec_busy_until.max(ctx.now());
-        let done_at = start + cost;
-        self.exec_busy_until = done_at;
-        self.exec_queue.push((height, done_at));
-        ctx.set_timer(done_at - ctx.now(), RedbellyTimer::ExecDone);
-        self.chain.push(superblock);
+        debug_assert_eq!(height, self.replica.height() + 1);
+        self.append_superblock(superblock, ctx);
         let state = self.height_state(height);
         state.completed = true;
         // Pace the chain: the next height starts one height-interval
@@ -353,20 +341,11 @@ impl RedbellyNode {
     }
 
     fn drain_executor(&mut self, ctx: &mut Ctx<'_, Self>) {
-        let now = ctx.now();
-        while let Some(pos) = self.exec_queue.iter().position(|(_, at)| *at <= now) {
-            let (height, _) = self.exec_queue.remove(pos);
-            if height != self.executed_height + 1 {
-                continue; // stale completion from before a restart
+        self.replica.drain(ctx.now(), |outcome| {
+            if let Ok(id) = outcome {
+                ctx.commit(id);
             }
-            let txs = self.chain[(height - 1) as usize].clone();
-            for tx in &txs {
-                if let Ok(id) = self.ledger.apply(tx) {
-                    ctx.commit(id);
-                }
-            }
-            self.executed_height = height;
-        }
+        });
     }
 
     /// Decides 0 for slots whose proposal never arrived (grace expiry).
@@ -401,12 +380,7 @@ impl RedbellyNode {
         let peers = self.conn.connected_peers();
         // A stalled height may mean we missed a commit: ask a peer.
         if let Some(peer) = peers.first() {
-            ctx.send(
-                *peer,
-                RedbellyMsg::SyncRequest {
-                    from_height: self.chain_height() + 1,
-                },
-            );
+            self.request_sync(*peer, ctx);
         }
         // Re-announce our own proposal and every undecided instance's
         // current echo; decided instances re-announce the decision.
@@ -445,18 +419,16 @@ impl RedbellyNode {
     }
 
     fn handle_sync_request(&mut self, from: NodeId, from_height: u64, ctx: &mut Ctx<'_, Self>) {
-        if from_height > self.chain_height() || from_height == 0 {
-            return;
+        let superblocks = self.replica.page(from_height, 20).to_vec();
+        if !superblocks.is_empty() {
+            ctx.send(
+                from,
+                RedbellyMsg::SyncResponse {
+                    first_height: from_height,
+                    superblocks,
+                },
+            );
         }
-        let start = (from_height - 1) as usize;
-        let end = (start + 20).min(self.chain.len());
-        ctx.send(
-            from,
-            RedbellyMsg::SyncResponse {
-                first_height: from_height,
-                superblocks: self.chain[start..end].to_vec(),
-            },
-        );
     }
 
     fn handle_sync_response(
@@ -469,50 +441,27 @@ impl RedbellyNode {
         let mut advanced = false;
         for (i, superblock) in superblocks.into_iter().enumerate() {
             let height = first_height + i as u64;
-            if height == self.chain_height() + 1 {
-                for tx in &superblock {
-                    self.pool.mark_committed(tx.from(), tx.nonce() + 1);
-                }
-                let cost =
-                    self.config.exec_per_block + self.config.exec_per_tx * superblock.len() as u64;
-                let start = self.exec_busy_until.max(ctx.now());
-                let done_at = start + cost;
-                self.exec_busy_until = done_at;
-                self.exec_queue.push((height, done_at));
-                ctx.set_timer(done_at - ctx.now(), RedbellyTimer::ExecDone);
-                self.chain.push(superblock);
+            if height == self.replica.height() + 1 {
+                self.append_superblock(superblock, ctx);
                 advanced = true;
             }
         }
         if advanced {
-            self.enter_height(self.chain_height() + 1, ctx);
-            ctx.send(
-                from,
-                RedbellyMsg::SyncRequest {
-                    from_height: self.chain_height() + 1,
-                },
-            );
+            self.enter_height(self.replica.height() + 1, ctx);
+            self.request_sync(from, ctx);
         }
     }
 
     fn run_conn_tick(&mut self, ctx: &mut Ctx<'_, Self>) {
-        for action in self.conn.tick(ctx.now()) {
-            match action {
-                ConnAction::SendHeartbeat(peer) => ctx.send(peer, RedbellyMsg::Heartbeat),
-                ConnAction::SendDial(peer) => ctx.send(peer, RedbellyMsg::Dial),
-                ConnAction::Disconnected(_) => {}
-            }
-        }
+        self.conn
+            .upkeep(ctx, RedbellyMsg::Heartbeat, RedbellyMsg::Dial);
         ctx.set_timer(self.config.conn_tick, RedbellyTimer::ConnTick);
     }
 
-    fn on_reconnected(&mut self, peer: NodeId, ctx: &mut Ctx<'_, Self>) {
-        ctx.send(
-            peer,
-            RedbellyMsg::SyncRequest {
-                from_height: self.chain_height() + 1,
-            },
-        );
+    /// Asks `peer` for the committed blocks above our chain.
+    fn request_sync(&self, peer: NodeId, ctx: &mut Ctx<'_, Self>) {
+        let from_height = self.replica.height() + 1;
+        ctx.send(peer, RedbellyMsg::SyncRequest { from_height });
     }
 }
 
@@ -530,17 +479,9 @@ impl Protocol for RedbellyNode {
             n,
             t,
             config: config.clone(),
-            chain: Vec::new(),
-            ledger: if config.model_contention {
-                Ledger::with_lazy_balance(u64::MAX / 512)
-            } else {
-                Ledger::with_uniform_balance(256, u64::MAX / 512)
-            },
-            executed_height: 0,
+            replica: Replica::genesis(),
             height: 0,
             heights: BTreeMap::new(),
-            exec_busy_until: SimTime::ZERO,
-            exec_queue: Vec::new(),
             pool: AccountPool::new(config.pool_capacity),
             conn: ConnectionManager::new(id, n, config.conn),
         };
@@ -552,7 +493,7 @@ impl Protocol for RedbellyNode {
 
     fn on_message(&mut self, from: NodeId, msg: RedbellyMsg, ctx: &mut Ctx<'_, Self>) {
         if self.conn.on_heard(from, ctx.now()) {
-            self.on_reconnected(from, ctx);
+            self.request_sync(from, ctx);
         }
         match msg {
             RedbellyMsg::TxGossip(tx) => {
@@ -643,7 +584,7 @@ impl Protocol for RedbellyNode {
             RedbellyTimer::Grace { height } => self.handle_grace(height, ctx),
             RedbellyTimer::ExecDone => self.drain_executor(ctx),
             RedbellyTimer::NextHeight { height } => {
-                if height == self.chain_height() + 1 && height > self.height {
+                if height == self.replica.height() + 1 && height > self.height {
                     self.enter_height(height, ctx);
                 }
             }
@@ -661,38 +602,30 @@ impl Protocol for RedbellyNode {
     fn on_restart(&mut self, ctx: &mut Ctx<'_, Self>) {
         self.pool.clear_pending();
         self.heights.clear();
-        self.exec_queue.clear();
-        self.exec_busy_until = ctx.now();
         // Re-execute committed-but-unexecuted superblocks from disk.
-        for height in self.executed_height + 1..=self.chain_height() {
-            let txs_len = self.chain[(height - 1) as usize].len();
-            let cost = self.config.exec_per_block + self.config.exec_per_tx * txs_len as u64;
-            let start = self.exec_busy_until.max(ctx.now());
-            let done_at = start + cost;
-            self.exec_busy_until = done_at;
-            self.exec_queue.push((height, done_at));
+        let config = &self.config;
+        for done_at in self
+            .replica
+            .restart(ctx.now(), |superblock| config.exec_cost(superblock.len()))
+        {
             ctx.set_timer(done_at - ctx.now(), RedbellyTimer::ExecDone);
         }
         // Active recovery: dial immediately, resync, rejoin consensus.
         self.conn.redial_all(ctx.now());
-        self.enter_height(self.chain_height() + 1, ctx);
+        self.enter_height(self.replica.height() + 1, ctx);
         ctx.set_timer(self.config.retransmit_interval, RedbellyTimer::Retransmit);
         ctx.set_timer(self.config.conn_tick, RedbellyTimer::ConnTick);
         self.run_conn_tick(ctx);
         ctx.multicast(
             self.conn.connected_peers(),
             RedbellyMsg::SyncRequest {
-                from_height: self.chain_height() + 1,
+                from_height: self.replica.height() + 1,
             },
         );
     }
 
     fn contention_stats(&self) -> ContentionStats {
-        ContentionStats {
-            pool_evictions: self.pool.rejected_full(),
-            pool_replacements: self.pool.rejected_conflict(),
-            ..ContentionStats::default()
-        }
+        self.pool.contention_stats()
     }
 }
 
@@ -749,7 +682,7 @@ mod tests {
         submit_stream(&mut s, 10, 100, 1, 11);
         s.run_until(SimTime::from_secs(20));
         assert_eq!(unique_commits_at(&s, 0), 1000);
-        assert!(s.node(NodeId::new(0)).chain_height() > 5);
+        assert!(s.node(NodeId::new(0)).replica().height() > 5);
     }
 
     #[test]
@@ -854,7 +787,10 @@ mod tests {
         assert_eq!(unique_commits_at(&s, 0), 4);
         let node0 = s.node(NodeId::new(0));
         // All four landed within two heights (gossip may split them).
-        let heights_used = node0.chain_height().min(node0.executed_height());
+        let heights_used = node0
+            .replica()
+            .height()
+            .min(node0.replica().executed_height());
         assert!(heights_used >= 1);
     }
 
@@ -913,7 +849,7 @@ mod tests {
         }
         s.run_until(SimTime::from_secs(20));
         assert!(
-            s.node(NodeId::new(0)).chain_height() > 3,
+            s.node(NodeId::new(0)).replica().height() > 3,
             "quorum-exact survivors keep committing through the fault"
         );
     }
@@ -923,7 +859,7 @@ mod tests {
         let mut s = sim(4, 8);
         s.run_until(SimTime::from_secs(10));
         assert!(
-            s.node(NodeId::new(0)).chain_height() > 3,
+            s.node(NodeId::new(0)).replica().height() > 3,
             "chain paces without load"
         );
     }

@@ -209,7 +209,6 @@ impl<P: Protocol> ByzantineWrapper<P> {
                 rng: &mut *ctx.rng,
                 effects: &mut effects,
                 timers: &mut *ctx.timers,
-                tracing: ctx.tracing,
                 capture: ctx.capture,
             };
             f(&mut self.inner, &mut inner_ctx);
@@ -368,7 +367,6 @@ impl<P: Protocol> Protocol for ByzantineWrapper<P> {
                 rng: &mut *ctx.rng,
                 effects: &mut effects,
                 timers: &mut *ctx.timers,
-                tracing: ctx.tracing,
                 capture: ctx.capture,
             };
             P::new(id, n, &config.inner, &mut inner_ctx)

@@ -10,13 +10,13 @@
 //! timeouts delay recovery by 99 s and 81 s respectively.
 //!
 //! [`ConnectionManager`] is a pure state machine: the owning protocol
-//! drives it from a periodic timer via [`ConnectionManager::tick`], feeds
-//! every received message through [`ConnectionManager::on_heard`], and
-//! materialises the returned [`ConnAction`]s as heartbeat/dial messages.
-//! Keeping it passive means it composes with any protocol and stays
-//! deterministic.
+//! drives it from a periodic timer via [`ConnectionManager::upkeep`]
+//! (one [`ConnectionManager::tick`] whose [`ConnAction`]s are sent as the
+//! protocol's own heartbeat/dial messages) and feeds every received
+//! message through [`ConnectionManager::on_heard`]. Keeping it passive
+//! means it composes with any protocol and stays deterministic.
 
-use crate::{NodeId, SimDuration, SimTime};
+use crate::{Ctx, NodeId, Protocol, SimDuration, SimTime};
 
 /// Timing parameters of a [`ConnectionManager`].
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -201,6 +201,20 @@ impl ConnectionManager {
             }
         }
         actions
+    }
+
+    /// One periodic upkeep round: [`tick`](Self::tick)s to `ctx.now()`
+    /// and sends a clone of `heartbeat` to every peer due a keep-alive
+    /// and of `dial` to every torn-down peer whose backoff elapsed.
+    /// Re-arming the periodic timer stays with the caller.
+    pub fn upkeep<P: Protocol>(&mut self, ctx: &mut Ctx<'_, P>, heartbeat: P::Msg, dial: P::Msg) {
+        for action in self.tick(ctx.now()) {
+            match action {
+                ConnAction::SendHeartbeat(peer) => ctx.send(peer, heartbeat.clone()),
+                ConnAction::SendDial(peer) => ctx.send(peer, dial.clone()),
+                ConnAction::Disconnected(_) => {}
+            }
+        }
     }
 
     /// Forces every link down with an immediate dial (a freshly restarted

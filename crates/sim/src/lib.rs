@@ -65,8 +65,8 @@ pub use net::{
 pub use protocol::{Ctx, Protocol, TimerId};
 pub use resource::CpuMeter;
 pub use rng::DetRng;
-pub use sim::{millis, secs, NodeStatus, SimBuilder, Simulation, DEFAULT_TRACE_CAP};
-pub use stats::{CommitRecord, ContentionStats, PanicRecord, SimStats, TraceLine};
+pub use sim::{millis, secs, NodeStatus, SimBuilder, Simulation};
+pub use stats::{CommitRecord, ContentionStats, PanicRecord, SimStats};
 pub use time::{SimDuration, SimTime};
 pub use trace::{
     CaptureLevel, DropCause, EventCounters, EventRecorder, FaultKind, SimEvent, TimedEvent,

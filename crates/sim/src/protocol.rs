@@ -127,7 +127,6 @@ pub struct Ctx<'a, P: Protocol> {
     pub(crate) rng: &'a mut DetRng,
     pub(crate) effects: &'a mut Vec<Effect<P>>,
     pub(crate) timers: &'a mut TimerRegistry,
-    pub(crate) tracing: bool,
     pub(crate) capture: CaptureLevel,
 }
 
@@ -204,13 +203,12 @@ impl<'a, P: Protocol> Ctx<'a, P> {
         self.effects.push(Effect::Panic(reason.into()));
     }
 
-    /// Records a diagnostic line in the simulation trace (retained when
-    /// tracing is enabled on the simulation, and recorded as a typed
-    /// [`SimEvent::Log`] under [`CaptureLevel::Full`]).
+    /// Records a diagnostic line as a typed [`SimEvent::Log`] under
+    /// [`CaptureLevel::Full`]; a no-op below that level.
     ///
     /// [`SimEvent::Log`]: crate::SimEvent::Log
     pub fn log(&mut self, line: impl AsRef<str>) {
-        if self.tracing || self.capture == CaptureLevel::Full {
+        if self.capture == CaptureLevel::Full {
             self.effects.push(Effect::Log(line.as_ref().to_owned()));
         }
     }

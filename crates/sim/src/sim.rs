@@ -1,10 +1,10 @@
 //! The discrete-event simulation kernel.
 
-use std::collections::{BTreeMap, VecDeque};
+use std::collections::BTreeMap;
 
 use crate::agenda::{Agenda, MsgArena, MsgRef, TimerRegistry};
 use crate::protocol::Effect;
-use crate::stats::{CommitRecord, PanicRecord, SimStats, TraceLine};
+use crate::stats::{CommitRecord, PanicRecord, SimStats};
 use crate::trace::{
     CaptureLevel, DropCause, EventCounters, EventRecorder, FaultKind, SimEvent, TimedEvent,
     DEFAULT_EVENT_CAP,
@@ -13,10 +13,6 @@ use crate::{
     Ctx, DetRng, LatencyModel, LinkFault, LinkFaultId, Network, NodeId, PartitionId, PartitionRule,
     Protocol, SimDuration, SimTime, TimerId,
 };
-
-/// Default bound on the retained [`TraceLine`] ring (see
-/// [`SimBuilder::trace_cap`]).
-pub const DEFAULT_TRACE_CAP: usize = 1 << 16;
 
 /// Liveness state of a simulated node.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
@@ -39,7 +35,6 @@ pub enum NodeStatus {
 /// # fn demo<P: Protocol>(config: P::Config) {
 /// let sim = SimBuilder::new(10, 42)
 ///     .latency(LatencyModel::lan())
-///     .tracing(true)
 ///     .build::<P>(config);
 /// # }
 /// ```
@@ -51,11 +46,7 @@ pub struct SimBuilder {
     seed: u64,
     latency: LatencyModel,
     topology: Option<crate::LatencyTopology>,
-    fifo_links: bool,
-    tracing: bool,
-    trace_cap: usize,
     capture: CaptureLevel,
-    event_cap: usize,
 }
 
 impl SimBuilder {
@@ -71,11 +62,7 @@ impl SimBuilder {
             seed,
             latency: LatencyModel::default(),
             topology: None,
-            fifo_links: true,
-            tracing: false,
-            trace_cap: DEFAULT_TRACE_CAP,
             capture: CaptureLevel::Off,
-            event_cap: DEFAULT_EVENT_CAP,
         }
     }
 
@@ -92,40 +79,11 @@ impl SimBuilder {
         self
     }
 
-    /// Enables or disables per-link FIFO delivery (default: enabled,
-    /// modelling TCP connections; disable for UDP-like reordering).
-    pub fn fifo_links(&mut self, fifo: bool) -> &mut Self {
-        self.fifo_links = fifo;
-        self
-    }
-
-    /// Enables retention of [`Ctx::log`] lines (default: off).
-    pub fn tracing(&mut self, tracing: bool) -> &mut Self {
-        self.tracing = tracing;
-        self
-    }
-
-    /// Caps the retained [`Ctx::log`] ring (default:
-    /// [`DEFAULT_TRACE_CAP`]). When full, the oldest line is evicted and
-    /// [`SimStats::dropped_trace_lines`] counts the loss, so unbounded
-    /// chaos runs cannot balloon memory.
-    pub fn trace_cap(&mut self, cap: usize) -> &mut Self {
-        self.trace_cap = cap.max(1);
-        self
-    }
-
     /// Sets the structured-event capture level (default:
     /// [`CaptureLevel::Off`]). Capture is deterministic-neutral: it
     /// never changes what a run computes, only what it records.
     pub fn capture(&mut self, level: CaptureLevel) -> &mut Self {
         self.capture = level;
-        self
-    }
-
-    /// Caps the structured-event ring (default: [`DEFAULT_EVENT_CAP`]);
-    /// see [`EventRecorder`] for the eviction semantics.
-    pub fn event_cap(&mut self, cap: usize) -> &mut Self {
-        self.event_cap = cap.max(1);
         self
     }
 
@@ -217,15 +175,11 @@ pub struct Simulation<P: Protocol> {
     next_partition_handle: u64,
     link_fault_handles: BTreeMap<u64, LinkFaultId>,
     next_link_fault_handle: u64,
-    fifo_links: bool,
     /// Flat `n × n` matrix of last-scheduled delivery instants, indexed
     /// `from * n + to` (replaces the seed's per-link `BTreeMap`).
     link_clock: Vec<SimTime>,
     commits: Vec<CommitRecord<P::Commit>>,
     panics: Vec<PanicRecord>,
-    trace: VecDeque<TraceLine>,
-    tracing: bool,
-    trace_cap: usize,
     recorder: EventRecorder,
     stats: SimStats,
     config: P::Config,
@@ -260,14 +214,10 @@ impl<P: Protocol> Simulation<P> {
             next_partition_handle: 0,
             link_fault_handles: BTreeMap::new(),
             next_link_fault_handle: 0,
-            fifo_links: b.fifo_links,
             link_clock: vec![SimTime::ZERO; b.n * b.n],
             commits: Vec::new(),
             panics: Vec::new(),
-            trace: VecDeque::new(),
-            tracing: b.tracing,
-            trace_cap: b.trace_cap,
-            recorder: EventRecorder::new(b.capture, b.event_cap),
+            recorder: EventRecorder::new(b.capture, DEFAULT_EVENT_CAP),
             stats: SimStats::default(),
             config,
         };
@@ -281,7 +231,6 @@ impl<P: Protocol> Simulation<P> {
                 rng: &mut rng,
                 effects: &mut effects,
                 timers: &mut sim.timers,
-                tracing: sim.tracing,
                 capture: sim.recorder.level(),
             };
             let proto = P::new(id, b.n, &sim.config, &mut ctx);
@@ -339,17 +288,6 @@ impl<P: Protocol> Simulation<P> {
     /// Fatal node failures recorded so far.
     pub fn panics(&self) -> &[PanicRecord] {
         &self.panics
-    }
-
-    /// Diagnostic lines recorded while tracing was enabled, oldest
-    /// first (a bounded ring: see [`SimBuilder::trace_cap`]).
-    pub fn trace(&self) -> impl Iterator<Item = &TraceLine> + '_ {
-        self.trace.iter()
-    }
-
-    /// Drains the retained trace lines, oldest first.
-    pub fn take_trace(&mut self) -> Vec<TraceLine> {
-        self.trace.drain(..).collect()
     }
 
     /// The structured-event recorder (capture level, counters, stream).
@@ -669,7 +607,6 @@ impl<P: Protocol> Simulation<P> {
             rng: &mut slot.rng,
             effects: &mut effects,
             timers: &mut self.timers,
-            tracing: self.tracing,
             capture: self.recorder.level(),
         };
         f(&mut slot.proto, &mut ctx);
@@ -730,12 +667,12 @@ impl<P: Protocol> Simulation<P> {
         }
         let delay = self.net.sample_delay(from, to, &mut self.net_rng) + self.net.slowdown(from);
         let mut deliver_at = self.now + delay;
-        if self.fifo_links {
-            let idx = from.index() * self.n + to.index();
-            if let Some(last) = self.link_clock.get_mut(idx) {
-                deliver_at = deliver_at.max(*last);
-                *last = deliver_at;
-            }
+        // Links are FIFO (they model TCP connections): a delivery never
+        // overtakes the previous one on the same link.
+        let idx = from.index() * self.n + to.index();
+        if let Some(last) = self.link_clock.get_mut(idx) {
+            deliver_at = deliver_at.max(*last);
+            *last = deliver_at;
         }
         if !verdict.extra.is_zero() {
             // Hold the packet back *after* the FIFO clock was
@@ -847,24 +784,8 @@ impl<P: Protocol> Simulation<P> {
                     );
                 }
                 Effect::Log(line) => {
-                    self.recorder.record(
-                        self.now,
-                        SimEvent::Log {
-                            node: from,
-                            line: line.clone(),
-                        },
-                    );
-                    if self.tracing {
-                        if self.trace.len() >= self.trace_cap {
-                            self.trace.pop_front();
-                            self.stats.dropped_trace_lines += 1;
-                        }
-                        self.trace.push_back(TraceLine {
-                            time: self.now,
-                            node: from,
-                            line,
-                        });
-                    }
+                    self.recorder
+                        .record(self.now, SimEvent::Log { node: from, line });
                 }
             }
         }

@@ -27,19 +27,6 @@ pub struct PanicRecord {
     pub reason: String,
 }
 
-/// A line logged by a node through [`Ctx::log`] while tracing is enabled.
-///
-/// [`Ctx::log`]: crate::Ctx::log
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub struct TraceLine {
-    /// When the line was logged.
-    pub time: SimTime,
-    /// The node that logged it.
-    pub node: NodeId,
-    /// The logged text.
-    pub line: String,
-}
-
 /// Aggregate traffic and scheduling counters for a run.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq, serde::Serialize, serde::Deserialize)]
 pub struct SimStats {
@@ -72,8 +59,9 @@ pub struct SimStats {
     pub requests_dropped: u64,
     /// Total events processed by the kernel.
     pub events_processed: u64,
-    /// [`TraceLine`]s evicted from the bounded trace ring after it
-    /// filled (long runs keep the newest lines; this counts the loss).
+    /// Always 0 — nothing increments it. The field stays because
+    /// serialised `SimStats` are pinned artifact bytes; the next
+    /// cache-schema bump may drop it.
     pub dropped_trace_lines: u64,
     /// Speculative transaction executions that had to be redone —
     /// Block-STM within-block conflict re-executions plus

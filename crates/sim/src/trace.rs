@@ -1,21 +1,22 @@
 //! The typed observability layer of the kernel: structured simulation
 //! events, capture levels and the bounded event recorder.
 //!
-//! The free-text [`TraceLine`] stream answers "what did node 3 print?";
-//! this module answers "*why* did the run degrade?". Every interesting
-//! kernel transition — message send/deliver/drop (with its cause), timer
-//! fire/stale, node crash/restart/panic, fault activation, client
-//! submission and commit — is recorded as a [`SimEvent`] with its
-//! simulated timestamp, cheap enough to aggregate over millions of
-//! events and structured enough to export as a Chrome-trace/Perfetto
-//! timeline or a JSON-Lines dump.
+//! This is the kernel's one trace stream, and it answers "*why* did the
+//! run degrade?". Free text a node prints through [`Ctx::log`] is just
+//! one more event kind in it ([`SimEvent::Log`], recorded at
+//! [`CaptureLevel::Full`]). Every interesting kernel transition —
+//! message send/deliver/drop (with its cause), timer fire/stale, node
+//! crash/restart/panic, fault activation, client submission and commit
+//! — is recorded as a [`SimEvent`] with its simulated timestamp, cheap
+//! enough to aggregate over millions of events and structured enough to
+//! export as a Chrome-trace/Perfetto timeline or a JSON-Lines dump.
 //!
 //! Recording is **deterministic-neutral**: the recorder only observes,
 //! it never draws randomness, perturbs event ordering or feeds back into
 //! protocol state, so a run with [`CaptureLevel::Full`] produces results
 //! bit-identical to one with [`CaptureLevel::Off`].
 //!
-//! [`TraceLine`]: crate::TraceLine
+//! [`Ctx::log`]: crate::Ctx::log
 
 use std::collections::VecDeque;
 

@@ -36,16 +36,9 @@ pub struct SolanaConfig {
     /// How many slots behind the highest confirmed block the root trails
     /// (freeze-to-root distance).
     pub root_lag_slots: u64,
-    /// Execution cost per transaction applied from a confirmed block.
-    pub exec_per_tx: SimDuration,
     /// Per-validator stakes; `None` means uniform (the paper's testbed).
     /// Leader slots and vote quorums are stake-weighted.
     pub stakes: Option<Vec<u64>>,
-    /// Models production-shaped contention: funds the whole declared
-    /// account population lazily instead of the paper's 256 prefunded
-    /// accounts. Off by default so paper-standard runs are
-    /// byte-identical.
-    pub model_contention: bool,
 }
 
 impl Default for SolanaConfig {
@@ -60,9 +53,7 @@ impl Default for SolanaConfig {
             outbox_capacity: 200_000,
             vote_quorum_permille: 667,
             root_lag_slots: 8,
-            exec_per_tx: SimDuration::from_micros(100),
             stakes: None,
-            model_contention: false,
         }
     }
 }
@@ -109,18 +100,5 @@ mod tests {
         // one quarter = 8 slots).
         assert!(cfg.root_lag_slots <= cfg.schedule.slots_in_epoch(0) / 4);
         assert!(cfg.forward_lookahead >= 1);
-    }
-}
-
-impl SolanaConfig {
-    /// Pairs this config with a Byzantine spec, producing the config of
-    /// [`ByzantineSolanaNode`](crate::ByzantineSolanaNode): the named
-    /// nodes run the same protocol but mutate, equivocate, delay or
-    /// withhold their outbound messages.
-    pub fn with_byzantine(
-        self,
-        spec: stabl_sim::ByzantineSpec,
-    ) -> stabl_sim::ByzConfig<SolanaConfig> {
-        stabl_sim::ByzConfig::new(self, spec)
     }
 }

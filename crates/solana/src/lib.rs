@@ -31,8 +31,3 @@ pub mod schedule;
 pub use config::SolanaConfig;
 pub use node::{SolanaMsg, SolanaNode, SolanaTimer};
 pub use schedule::EpochSchedule;
-
-/// [`SolanaNode`] wrapped with message-level Byzantine behaviors
-/// (mutate, equivocate, delay, withhold) for selected nodes; configure
-/// via [`SolanaConfig::with_byzantine`].
-pub type ByzantineSolanaNode = stabl_sim::ByzantineWrapper<SolanaNode>;

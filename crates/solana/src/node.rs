@@ -326,11 +326,7 @@ impl Protocol for SolanaNode {
             confirmed: BTreeSet::new(),
             highest_confirmed: 0,
             root: 0,
-            ledger: if config.model_contention {
-                Ledger::with_lazy_balance(u64::MAX / 512)
-            } else {
-                Ledger::with_uniform_balance(256, u64::MAX / 512)
-            },
+            ledger: Ledger::genesis(),
             eah: BTreeMap::new(),
             buffer: AccountPool::new(config.outbox_capacity),
             outbox: Outbox::default(),
@@ -413,11 +409,7 @@ impl Protocol for SolanaNode {
     }
 
     fn contention_stats(&self) -> ContentionStats {
-        ContentionStats {
-            pool_evictions: self.buffer.rejected_full(),
-            pool_replacements: self.buffer.rejected_conflict(),
-            ..ContentionStats::default()
-        }
+        self.buffer.contention_stats()
     }
 }
 

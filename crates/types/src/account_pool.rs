@@ -11,6 +11,8 @@
 use std::collections::btree_map::Entry;
 use std::collections::BTreeMap;
 
+use stabl_sim::ContentionStats;
+
 use crate::{AccountId, Transaction};
 
 /// What the pool knows about one account.
@@ -261,6 +263,16 @@ impl AccountPool {
     /// already held the (account, nonce) slot when this one arrived.
     pub fn rejected_conflict(&self) -> u64 {
         self.rejected_conflict
+    }
+
+    /// The pool's share of a node's [`ContentionStats`]: full-pool
+    /// rejections as evictions, same-nonce conflicts as replacements.
+    pub fn contention_stats(&self) -> ContentionStats {
+        ContentionStats {
+            pool_evictions: self.rejected_full,
+            pool_replacements: self.rejected_conflict,
+            ..ContentionStats::default()
+        }
     }
 }
 

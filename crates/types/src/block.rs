@@ -91,6 +91,14 @@ impl Block {
     }
 }
 
+/// A block as the transactions it carries, in execution order — what
+/// [`Replica`](crate::Replica) needs of it.
+impl AsRef<[Transaction]> for Block {
+    fn as_ref(&self) -> &[Transaction] {
+        &self.txs
+    }
+}
+
 impl fmt::Display for Block {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         write!(

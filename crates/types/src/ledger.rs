@@ -74,8 +74,7 @@ pub struct Ledger {
     executed: u64,
     /// Balance credited lazily to accounts never seen before — the
     /// genesis allocation of a declared-but-unmaterialized population.
-    /// Zero for the paper-standard prefunded ledgers, so their behavior
-    /// is unchanged.
+    /// Zero for [`Ledger::with_uniform_balance`] ledgers.
     default_balance: u64,
 }
 
@@ -103,6 +102,15 @@ impl Ledger {
             default_balance: balance,
             ..Ledger::new()
         }
+    }
+
+    /// The genesis ledger of every simulated chain: all accounts funded
+    /// on first touch, deeply enough that no workload overdraws one —
+    /// so a production population of millions needs no prefunding, and
+    /// the paper-standard stream (which never overdraws and whose
+    /// balances reach no artifact) runs exactly as on prefunded accounts.
+    pub fn genesis() -> Ledger {
+        Ledger::with_lazy_balance(u64::MAX / 512)
     }
 
     /// The balance of `account` (the lazy default if never touched).

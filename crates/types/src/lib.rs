@@ -3,9 +3,12 @@
 //! Hashing ([`Sha256`], [`Hash32`]), accounts and native transfers
 //! ([`Transaction`]), blocks ([`Block`]), the replicated account ledger
 //! ([`Ledger`]), the nonce-aware [`AccountPool`] the five chains hold
-//! pending transactions in, a generic deduplicating [`Mempool`] and the
-//! O(1) transaction-id index [`TxIndex`]. These are the building blocks
-//! shared by the five protocol crates of the Stabl reproduction.
+//! pending transactions in, a generic deduplicating [`Mempool`], the
+//! O(1) transaction-id index [`TxIndex`] and [`Replica`] — a validator's
+//! durable `chain + ledger + executed height` with the serial executor
+//! that applies it. These are the building blocks shared by the five
+//! protocol crates of the Stabl reproduction: what the paper never
+//! varies lives here once, so the chain crates hold only what differs.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -15,6 +18,7 @@ mod block;
 mod crypto;
 mod ledger;
 mod mempool;
+mod replica;
 mod tx;
 mod tx_index;
 
@@ -23,6 +27,7 @@ pub use block::Block;
 pub use crypto::{Hash32, Sha256};
 pub use ledger::{ApplyError, Ledger};
 pub use mempool::Mempool;
+pub use replica::Replica;
 pub use tx::{AccountId, Transaction, TxId};
 pub use tx_index::TxIndex;
 

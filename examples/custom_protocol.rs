@@ -41,7 +41,7 @@ impl Protocol for PrimaryBackup {
     fn new(id: NodeId, _n: usize, _config: &(), _ctx: &mut Ctx<'_, Self>) -> Self {
         PrimaryBackup {
             id,
-            ledger: Ledger::with_uniform_balance(256, u64::MAX / 512),
+            ledger: Ledger::genesis(),
         }
     }
 
