@@ -1,12 +1,17 @@
 //! Byte-identity of run results as a tested contract: the SHA-256 of the
 //! serialised [`RunResult`] of 5 chains × {baseline, transient} at
-//! `PaperSetup::quick(20, 7)`.
+//! `PaperSetup::quick(20, 7)`, and of 5 chains × the four Byzantine
+//! behaviours on node 9 under the same transient schedule. Node 9 is
+//! also a transient victim, so the Byzantine rows cover held-back sends
+//! dying with their sender's epoch and the stale payload resetting on
+//! restart.
 //!
 //! A change that is meant to keep results (a refactor, a speed-up) must
 //! leave every constant alone; a change that is meant to move them
 //! re-records the table at the commit that moves them and says so.
 
-use stabl_suite::stabl::{Chain, PaperSetup, ScenarioKind};
+use stabl_suite::stabl::{Chain, PaperSetup, RunResult, ScenarioKind};
+use stabl_suite::stabl_sim::{ByzantineBehavior, ByzantineSpec, NodeId, SimDuration};
 use stabl_suite::stabl_types::Sha256;
 
 const PINNED: [(Chain, ScenarioKind, &str); 10] = [
@@ -62,18 +67,139 @@ const PINNED: [(Chain, ScenarioKind, &str); 10] = [
     ),
 ];
 
+const DELAY: ByzantineBehavior = ByzantineBehavior::Delay(SimDuration::from_millis(700));
+
+/// Recorded on the kernel that still ran Byzantine nodes through a
+/// protocol wrapper; the kernel's own deviation rule must reproduce
+/// every one of them.
+const PINNED_BYZANTINE: [(Chain, ByzantineBehavior, &str); 20] = [
+    (
+        Chain::Algorand,
+        ByzantineBehavior::Mutate,
+        "1e2127801887d2c3832e5c9b01a57afc5c73705b107b85977eeb89dd41cbde8f",
+    ),
+    (
+        Chain::Algorand,
+        ByzantineBehavior::Equivocate,
+        "8bb1d87c360dbe1ed1c604580d61e15efda1887a518dfa61ca706955e4ceffb9",
+    ),
+    (
+        Chain::Algorand,
+        ByzantineBehavior::Withhold,
+        "0de5cf333345ad23c6e3780f4d9e0aba80071b9deea14cd31352408860a6d3b5",
+    ),
+    (
+        Chain::Algorand,
+        DELAY,
+        "5192bb020651e08f873e39a607d5d1b6900829c208914c07d09cf2fa747fbb6f",
+    ),
+    (
+        Chain::Aptos,
+        ByzantineBehavior::Mutate,
+        "2df9736559f0807d38fdd8ee671bc632ef71a05d54d398799a5881771bba9f42",
+    ),
+    (
+        Chain::Aptos,
+        ByzantineBehavior::Equivocate,
+        "69e843511d3c0f5ec261e4d8311a9d99fc6f0f500bec858855db9ebefb2bff3e",
+    ),
+    (
+        Chain::Aptos,
+        ByzantineBehavior::Withhold,
+        "d4a30ce1c6dfebe0ba2dc59632f9d86c670ada1623e35472cc310eb18e786257",
+    ),
+    (
+        Chain::Aptos,
+        DELAY,
+        "441a3aa5bb20ecc37dc05ea70e321fade1a9ff8ee1f252c0aa46dce58d49a02e",
+    ),
+    (
+        Chain::Avalanche,
+        ByzantineBehavior::Mutate,
+        "4f61e43ba1acd99f3de70947f8fdac54c5669544674e08bfddb78b509b4beec4",
+    ),
+    (
+        Chain::Avalanche,
+        ByzantineBehavior::Equivocate,
+        "e910c27503020c703140c5ecabaf47a9659e5647515eab6b254e471b51c43465",
+    ),
+    (
+        Chain::Avalanche,
+        ByzantineBehavior::Withhold,
+        "80099ea7d1277ae9baf8535d132dd81dffbcd757613b52b90b3883fa79906229",
+    ),
+    (
+        Chain::Avalanche,
+        DELAY,
+        "58fab9a0c102d26b333f7c378a5e0aee66878ef1a0d6b8380b3a9b01974b843a",
+    ),
+    (
+        Chain::Redbelly,
+        ByzantineBehavior::Mutate,
+        "bd88f6cc526513437b9c01c078ec0e823b093c34811b1acc7b81d593ce3fbb7c",
+    ),
+    (
+        Chain::Redbelly,
+        ByzantineBehavior::Equivocate,
+        "8e4cd94ce05ac775e81d6e2cfdc540261fb1d5f494460cdc3fca4c2e7c4c9d9f",
+    ),
+    (
+        Chain::Redbelly,
+        ByzantineBehavior::Withhold,
+        "e137a440334bc53ab46f44ddd7f90e6a7443e6f15513222a3e48f38d2df14e6e",
+    ),
+    (
+        Chain::Redbelly,
+        DELAY,
+        "8a48811937e0ff0f1face13099565b92bc333ff06153e2aa3d01f9c15d4c0b6e",
+    ),
+    (
+        Chain::Solana,
+        ByzantineBehavior::Mutate,
+        "4b74a6cd5f0c594cfbac7e5bf576139e21eaecf48a4721441e3e7b67f56c74b8",
+    ),
+    (
+        Chain::Solana,
+        ByzantineBehavior::Equivocate,
+        "e31bcc9881c919d2a703cda843cb03de6b02ad2e02b247e0c53471919ef9c62f",
+    ),
+    (
+        Chain::Solana,
+        ByzantineBehavior::Withhold,
+        "4f8d3f0ed82b9e114ba59b4744be861a9f4ea9d98d4939867a7b82d21bf1da81",
+    ),
+    (
+        Chain::Solana,
+        DELAY,
+        "07b548bb8e16e04b8234e6434f4519623ef39de2506e4f22383c0c73c6314b0c",
+    ),
+];
+
+fn digest(result: &RunResult) -> String {
+    let json = serde_json::to_string(result).expect("RunResult serialises");
+    let mut hasher = Sha256::new();
+    hasher.update(json.as_bytes());
+    hasher.finalize().to_string()
+}
+
 #[test]
 fn serialised_run_results_match_the_pinned_digests() {
     let setup = PaperSetup::quick(20, 7);
     let mut drifted = Vec::new();
     for (chain, kind, pinned) in PINNED {
-        let result = setup.run(chain, kind);
-        let json = serde_json::to_string(&result).expect("RunResult serialises");
-        let mut hasher = Sha256::new();
-        hasher.update(json.as_bytes());
-        let digest = hasher.finalize().to_string();
+        let digest = digest(&setup.run(chain, kind));
         if digest != pinned {
             drifted.push(format!("{chain}/{kind:?}: {digest} (pinned {pinned})"));
+        }
+    }
+    for (chain, behavior, pinned) in PINNED_BYZANTINE {
+        let mut config = setup.run_config(chain, ScenarioKind::Transient);
+        config.byzantine = ByzantineSpec::new([NodeId::new(9)], behavior);
+        let digest = digest(&chain.run(&config));
+        if digest != pinned {
+            drifted.push(format!(
+                "{chain}/Transient + {behavior:?} on node 9: {digest} (pinned {pinned})"
+            ));
         }
     }
     assert!(
