@@ -73,12 +73,11 @@ pub const CACHE_SCHEMA_VERSION: u32 = 7;
 // stabl-lint: cache-schema: CellTelemetry, EngineTelemetry
 // stabl-lint: cache-schema: RetryPolicy, FaultAction, FaultSchedule
 // stabl-lint: cache-schema: SimTime, SimDuration, NodeId, PanicRecord, SimStats
-// stabl-lint: cache-schema: CaptureLevel, SimEvent, TimedEvent, EventCounters
+// stabl-lint: cache-schema: SimEvent, TimedEvent, EventCounters
 // stabl-lint: cache-schema: LinkFault, ByzantineBehavior, ByzantineSpec
 // stabl-lint: cache-schema: MeanVar, QuantileSketch, SeedSequence
 // stabl-lint: cache-schema: ConfidenceInterval, CellObservation, ReplicateScore
 // stabl-lint: cache-schema: MetricCi, ReplicatedCell, ReplicatedCampaign
-// stabl-lint: cache-schema: ArrivalProcess, ConflictProfile, TrafficModel
 // stabl-lint: cache-schema: MetricVerdict, GateReport, UtilizationSummary
 // stabl-lint: cache-schema: Genome, ByzGene, Fitness, Objective
 // stabl-lint: cache-schema: Strategy, SearchConfig, SearchTrace, TraceStep

@@ -205,7 +205,7 @@ mod tests {
     #[test]
     fn every_chain_survives_one_withholding_byzantine_node() {
         // One mute back node is within every chain's fault budget
-        // (f = 1 ≤ t_B): the wrapper engages, traffic shrinks, but the
+        // (f = 1 ≤ t_B): the deviation engages, traffic shrinks, but the
         // client-facing nodes keep committing.
         for chain in Chain::ALL {
             let mut config = crate::RunConfig::quick(42);

@@ -5,16 +5,15 @@
 use std::collections::BTreeMap;
 
 use stabl_sim::{
-    ByzConfig, ByzantineSpec, ByzantineWrapper, CaptureLevel, DetRng, EventCounters, LatencyModel,
-    LatencyTopology, NodeId, PanicRecord, Protocol, SimBuilder, SimDuration, SimEvent, SimStats,
-    SimTime, TimedEvent,
+    ByzantineSpec, CaptureLevel, DetRng, EventCounters, LatencyModel, LatencyTopology, NodeId,
+    PanicRecord, Protocol, SimBuilder, SimDuration, SimEvent, SimStats, SimTime, TimedEvent,
 };
 use stabl_types::{Transaction, TxId};
 
 use crate::client::RetryPolicy;
 use crate::commits::CommitIndex;
 use crate::metrics::{Ecdf, EcdfError, StageLatencies, ThroughputSeries};
-use crate::{ClientMode, FaultSchedule, WorkloadSpec};
+use crate::{ClientMode, FaultError, FaultSchedule, WorkloadSpec};
 
 /// Full description of one experiment run.
 #[derive(Clone, Debug)]
@@ -37,9 +36,9 @@ pub struct RunConfig {
     /// Failures to inject (composable: node crashes, partitions,
     /// slowdowns and message-level link faults in one schedule).
     pub faults: FaultSchedule,
-    /// Nodes that misbehave at the *protocol* level: their outbound
-    /// messages are mutated, equivocated, delayed or withheld by a
-    /// [`ByzantineWrapper`] around the chain's protocol.
+    /// Nodes that misbehave at the *protocol* level: the kernel
+    /// mutates, equivocates, delays or withholds their outbound
+    /// messages ([`SimBuilder::byzantine`]).
     pub byzantine: ByzantineSpec,
     /// Byzantine RPC nodes: they process the chain correctly but
     /// *withhold* commit confirmations from their clients (the attack
@@ -142,15 +141,16 @@ impl RunResult {
 /// (for the single mode, exactly the node that received it). The
 /// returned latencies are the client-observed commit delays.
 ///
-/// When [`RunConfig::byzantine`] names nodes, the protocol runs inside
-/// a [`ByzantineWrapper`] so those nodes deviate at the message layer;
-/// when [`RunConfig::retry`] is set, unresolved submissions are retried
+/// When [`RunConfig::byzantine`] names nodes, those nodes deviate at
+/// the message layer ([`SimBuilder::byzantine`]); when
+/// [`RunConfig::retry`] is set, unresolved submissions are retried
 /// against alternate nodes with bounded exponential backoff.
 ///
 /// # Panics
 ///
 /// Panics if the workload references more client-facing nodes than the
-/// network has, or if the fault schedule is invalid.
+/// network has, or if the fault schedule or [`RunConfig::byzantine`] is
+/// invalid (the message is the [`FaultError`]'s).
 pub fn run_protocol<P>(config: &RunConfig, protocol_config: P::Config) -> RunResult
 where
     P: Protocol<Request = Transaction, Commit = TxId>,
@@ -201,25 +201,28 @@ pub fn run_protocol_traced<P>(
 where
     P: Protocol<Request = Transaction, Commit = TxId>,
 {
-    if config.byzantine.is_active() {
-        run_inner::<ByzantineWrapper<P>>(
-            config,
-            ByzConfig::new(protocol_config, config.byzantine.clone()),
-            capture,
-        )
-    } else {
-        run_inner::<P>(config, protocol_config, capture)
-    }
+    run_inner::<P>(config, protocol_config, capture)
 }
 
 fn run_inner<P>(config: &RunConfig, protocol_config: P::Config, capture: CaptureLevel) -> TracedRun
 where
     P: Protocol<Request = Transaction, Commit = TxId>,
 {
+    // A Byzantine node outside the network would silently never
+    // deviate; reject it like any other victim, before simulating.
+    for &node in config.byzantine.nodes() {
+        let n = config.n;
+        assert!(
+            node.index() < n,
+            "{}",
+            FaultError::VictimOutOfRange { node, n }
+        );
+    }
     let front_nodes = config.workload.clients.min(config.n);
     let mut builder = SimBuilder::new(config.n, config.seed);
     builder.latency(config.latency);
     builder.capture(capture);
+    builder.byzantine(config.byzantine.clone());
     if let Some(topology) = config.topology.clone() {
         builder.topology(topology);
     }
@@ -566,6 +569,15 @@ mod tests {
         assert!(result.retries > 0, "clients retry the dead network");
         assert!(result.give_ups > 0, "then give up after max_retries");
         assert!(result.lost_liveness);
+    }
+
+    #[test]
+    #[should_panic(expected = "victim node12 outside the 10-node network")]
+    fn byzantine_node_outside_the_network_is_rejected() {
+        let mut config = RunConfig::quick(10);
+        config.byzantine =
+            ByzantineSpec::new([NodeId::new(12)], stabl_sim::ByzantineBehavior::Withhold);
+        run_protocol::<Instant>(&config, ());
     }
 
     #[test]

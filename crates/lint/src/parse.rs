@@ -1034,12 +1034,12 @@ mod tests {
     #[test]
     fn generic_impls_resolve_last_segment() {
         let p = parsed(
-            "impl<P: Protocol> Protocol for ByzantineWrapper<P> {\n\
+            "impl<P: Protocol> Protocol for Wrapper<P> {\n\
                  type Msg = P::Msg;\n\
              }\n",
         );
         assert_eq!(p.impls[0].trait_name.as_deref(), Some("Protocol"));
-        assert_eq!(p.impls[0].type_name, "ByzantineWrapper");
+        assert_eq!(p.impls[0].type_name, "Wrapper");
         assert_eq!(p.impls[0].assoc_types[0].value, "Msg");
     }
 

@@ -19,7 +19,7 @@
 //! E-001 discovers its targets: any non-test `impl Protocol for …`
 //! block in the `[exhaustive]` scope whose `type Msg = E;` names an
 //! enum defined in the same crate. Generic pass-throughs
-//! (`type Msg = P::Msg`, as in `ByzantineWrapper`) resolve to no
+//! (`type Msg = P::Msg`, a protocol wrapping another) resolve to no
 //! in-crate enum and are skipped. E-002 targets come from
 //! `[exhaustive] covers` triples in `lint.toml`.
 

@@ -56,7 +56,7 @@ mod time;
 mod trace;
 
 pub use agenda::{Agenda, BUCKET_WIDTH_MICROS, RING_BUCKETS};
-pub use byzantine::{ByzConfig, ByzantineBehavior, ByzantineSpec, ByzantineWrapper};
+pub use byzantine::{ByzantineBehavior, ByzantineSpec};
 pub use conn::{ConnAction, ConnConfig, ConnectionManager};
 pub use net::{
     LatencyModel, LatencyTopology, LinkFault, LinkFaultId, LinkVerdict, Network, NodeId,

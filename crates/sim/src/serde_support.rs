@@ -13,8 +13,7 @@
 use serde::{Content, DeError, Deserialize, Serialize};
 
 use crate::{
-    ByzantineBehavior, ByzantineSpec, CaptureLevel, LinkFault, NodeId, SimDuration, SimEvent,
-    SimTime, TimedEvent,
+    ByzantineBehavior, ByzantineSpec, LinkFault, NodeId, SimDuration, SimEvent, SimTime, TimedEvent,
 };
 
 impl Serialize for SimTime {
@@ -50,24 +49,6 @@ impl Serialize for NodeId {
 impl Deserialize for NodeId {
     fn from_content(content: &Content) -> Result<NodeId, DeError> {
         u32::from_content(content).map(NodeId::new)
-    }
-}
-
-impl Serialize for CaptureLevel {
-    fn to_content(&self) -> Content {
-        Content::Str(self.name().to_owned())
-    }
-}
-
-impl Deserialize for CaptureLevel {
-    fn from_content(content: &Content) -> Result<CaptureLevel, DeError> {
-        match content {
-            Content::Str(s) => CaptureLevel::ALL
-                .into_iter()
-                .find(|level| level.name() == s.as_str())
-                .ok_or_else(|| DeError::custom(format!("unknown capture level {s:?}"))),
-            _ => Err(DeError::custom("expected capture level string")),
-        }
     }
 }
 
@@ -318,13 +299,6 @@ mod tests {
     }
 
     #[test]
-    fn capture_level_roundtrips() {
-        for level in CaptureLevel::ALL {
-            assert_eq!(roundtrip(&level), level);
-        }
-    }
-
-    #[test]
     fn sim_events_serialise_tagged_by_kind() {
         let dropped = SimEvent::MessageDropped {
             from: NodeId::new(0),
@@ -383,10 +357,12 @@ mod tests {
 
     #[test]
     fn event_counters_roundtrip() {
-        let mut counters = EventCounters::default();
-        counters.commits = 42;
-        counters.phase_marks = 7;
-        counters.log_lines = 1;
+        let counters = EventCounters {
+            commits: 42,
+            phase_marks: 7,
+            log_lines: 1,
+            ..EventCounters::default()
+        };
         assert_eq!(roundtrip(&counters), counters);
     }
 }

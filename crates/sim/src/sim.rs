@@ -10,8 +10,8 @@ use crate::trace::{
     DEFAULT_EVENT_CAP,
 };
 use crate::{
-    Ctx, DetRng, LatencyModel, LinkFault, LinkFaultId, Network, NodeId, PartitionId, PartitionRule,
-    Protocol, SimDuration, SimTime, TimerId,
+    ByzantineBehavior, ByzantineSpec, Ctx, DetRng, LatencyModel, LinkFault, LinkFaultId, Network,
+    NodeId, PartitionId, PartitionRule, Protocol, SimDuration, SimTime, TimerId,
 };
 
 /// Liveness state of a simulated node.
@@ -47,6 +47,7 @@ pub struct SimBuilder {
     latency: LatencyModel,
     topology: Option<crate::LatencyTopology>,
     capture: CaptureLevel,
+    byzantine: ByzantineSpec,
 }
 
 impl SimBuilder {
@@ -63,6 +64,7 @@ impl SimBuilder {
             latency: LatencyModel::default(),
             topology: None,
             capture: CaptureLevel::Off,
+            byzantine: ByzantineSpec::none(),
         }
     }
 
@@ -84,6 +86,14 @@ impl SimBuilder {
     /// never changes what a run computes, only what it records.
     pub fn capture(&mut self, level: CaptureLevel) -> &mut Self {
         self.capture = level;
+        self
+    }
+
+    /// Makes the nodes named by `spec` deviate on their outbound
+    /// messages (default: [`ByzantineSpec::none`]). Every node still
+    /// runs `P` unmodified; the kernel deviates where it sends.
+    pub fn byzantine(&mut self, spec: ByzantineSpec) -> &mut Self {
+        self.byzantine = spec;
         self
     }
 
@@ -115,6 +125,16 @@ enum EventKind<P: Protocol> {
         id: TimerId,
         epoch: u64,
         token: P::Timer,
+    },
+    /// A send held back by [`ByzantineBehavior::Delay`], now due to
+    /// enter the network. It is one of the sender's timers: it dies
+    /// with the epoch it was held in. `msg` is a handle, not a payload,
+    /// so the event enum does not grow with `P::Msg`.
+    Held {
+        from: NodeId,
+        to: NodeId,
+        epoch: u64,
+        msg: MsgRef,
     },
     Request {
         node: NodeId,
@@ -178,6 +198,11 @@ pub struct Simulation<P: Protocol> {
     /// Flat `n × n` matrix of last-scheduled delivery instants, indexed
     /// `from * n + to` (replaces the seed's per-link `BTreeMap`).
     link_clock: Vec<SimTime>,
+    byzantine: ByzantineSpec,
+    /// Per Byzantine node, the last payload a *previous* callback of
+    /// its sent — what `Mutate` and `Equivocate` replay. Forgotten on
+    /// restart, like the rest of a node's volatile state.
+    stale: BTreeMap<NodeId, P::Msg>,
     commits: Vec<CommitRecord<P::Commit>>,
     panics: Vec<PanicRecord>,
     recorder: EventRecorder,
@@ -215,6 +240,8 @@ impl<P: Protocol> Simulation<P> {
             link_fault_handles: BTreeMap::new(),
             next_link_fault_handle: 0,
             link_clock: vec![SimTime::ZERO; b.n * b.n],
+            byzantine: b.byzantine,
+            stale: BTreeMap::new(),
             commits: Vec::new(),
             panics: Vec::new(),
             recorder: EventRecorder::new(b.capture, DEFAULT_EVENT_CAP),
@@ -491,18 +518,22 @@ impl<P: Protocol> Simulation<P> {
                 // (and its generation bumped) the moment the timer event
                 // fires, whatever the node's state.
                 let was_cancelled = self.timers.resolve(id);
-                let slot = &self.nodes[node.index()];
-                if slot.status != NodeStatus::Running || slot.epoch != epoch || was_cancelled {
-                    self.stats.timers_stale += 1;
-                    self.recorder
-                        .record(self.now, SimEvent::TimerStale { node });
-                    return;
+                if self.timer_fires(node, epoch, was_cancelled) {
+                    let effects = self.with_ctx(node, |proto, ctx| proto.on_timer(token, ctx));
+                    self.apply_effects(node, effects);
                 }
-                self.stats.timers_fired += 1;
-                self.recorder
-                    .record(self.now, SimEvent::TimerFired { node });
-                let effects = self.with_ctx(node, |proto, ctx| proto.on_timer(token, ctx));
-                self.apply_effects(node, effects);
+            }
+            EventKind::Held {
+                from,
+                to,
+                epoch,
+                msg,
+            } => {
+                if self.timer_fires(from, epoch, false) {
+                    self.send_one(from, to, msg);
+                } else {
+                    self.msgs.release(msg);
+                }
             }
             EventKind::Request { node, request } => {
                 if self.nodes[node.index()].status != NodeStatus::Running {
@@ -530,6 +561,7 @@ impl<P: Protocol> Simulation<P> {
                 if self.nodes[node.index()].status == NodeStatus::Crashed {
                     self.nodes[node.index()].status = NodeStatus::Running;
                     self.nodes[node.index()].epoch += 1;
+                    self.stale.remove(&node);
                     self.recorder
                         .record(self.now, SimEvent::NodeRestarted { node });
                     let effects = self.with_ctx(node, |proto, ctx| proto.on_restart(ctx));
@@ -591,6 +623,24 @@ impl<P: Protocol> Simulation<P> {
                 );
             }
         }
+    }
+
+    /// Counts and records a due timer of `node`, armed in `epoch`, as
+    /// fired — or as stale if it was cancelled or the node has crashed,
+    /// restarted or panicked since. Returns whether it fired.
+    fn timer_fires(&mut self, node: NodeId, epoch: u64, was_cancelled: bool) -> bool {
+        let slot = &self.nodes[node.index()];
+        let fires = slot.status == NodeStatus::Running && slot.epoch == epoch && !was_cancelled;
+        if fires {
+            self.stats.timers_fired += 1;
+            self.recorder
+                .record(self.now, SimEvent::TimerFired { node });
+        } else {
+            self.stats.timers_stale += 1;
+            self.recorder
+                .record(self.now, SimEvent::TimerStale { node });
+        }
+        fires
     }
 
     fn with_ctx<F>(&mut self, node: NodeId, f: F) -> Vec<Effect<P>>
@@ -693,6 +743,74 @@ impl<P: Protocol> Simulation<P> {
         self.push(deliver_at, EventKind::Deliver { from, to, msg });
     }
 
+    /// Sends `msg` from `from` to each of the `count` nodes in
+    /// `targets`, in order — after the sender's Byzantine deviation, if
+    /// it has one (see the [`crate::byzantine`] module docs). `epoch`
+    /// is the sender's when the callback ran; `fresh` receives the
+    /// payload a replaying sender's next callback will see as stale.
+    fn emit<I>(
+        &mut self,
+        from: NodeId,
+        epoch: u64,
+        targets: I,
+        count: usize,
+        msg: P::Msg,
+        fresh: &mut Option<P::Msg>,
+    ) where
+        I: IntoIterator<Item = NodeId>,
+    {
+        if !self.byzantine.is_byzantine(from) {
+            return self.fan_out(from, targets, count, msg);
+        }
+        match self.byzantine.behavior() {
+            ByzantineBehavior::Withhold => {}
+            ByzantineBehavior::Mutate => {
+                let stale = self.stale.get(&from).unwrap_or(&msg).clone();
+                self.fan_out(from, targets, count, stale);
+                *fresh = Some(msg);
+            }
+            ByzantineBehavior::Equivocate => {
+                let stale = self.stale.get(&from).unwrap_or(&msg).clone();
+                for to in targets {
+                    let wire = if to.as_u32() % 2 == 1 { &stale } else { &msg };
+                    self.fan_out(from, [to], 1, wire.clone());
+                }
+                *fresh = Some(msg);
+            }
+            ByzantineBehavior::Delay(extra) => {
+                let handle = self.msgs.insert(msg);
+                self.msgs.retain_n(handle, count as u32);
+                let at = self.now + extra;
+                for to in targets {
+                    let held = EventKind::Held {
+                        from,
+                        to,
+                        epoch,
+                        msg: handle,
+                    };
+                    self.push(at, held);
+                }
+                self.msgs.seal(handle);
+            }
+        }
+    }
+
+    /// Stores `msg` once and schedules its delivery to each of the
+    /// `count` nodes in `targets`, in order.
+    fn fan_out<I>(&mut self, from: NodeId, targets: I, count: usize, msg: P::Msg)
+    where
+        I: IntoIterator<Item = NodeId>,
+    {
+        let handle = self.msgs.insert(msg);
+        // Pre-pay the whole fanout in one arena touch; send-time drops
+        // release their reference back.
+        self.msgs.retain_n(handle, count as u32);
+        for to in targets {
+            self.send_one(from, to, handle);
+        }
+        self.msgs.seal(handle);
+    }
+
     fn apply_effects(&mut self, from: NodeId, mut effects: Vec<Effect<P>>) {
         if effects.is_empty() {
             // Most deliveries produce no effects; hand the buffer
@@ -703,33 +821,22 @@ impl<P: Protocol> Simulation<P> {
             return;
         }
         let epoch = self.nodes[from.index()].epoch;
+        let n = self.n;
+        // The last payload this callback sends, if `from` replays stale
+        // payloads. It replaces the stale one only once the callback is
+        // applied, so a broadcast equivocates consistently: every odd
+        // peer sees the same previous-callback payload.
+        let mut fresh = None;
         for effect in effects.drain(..) {
             match effect {
-                Effect::Send { to, msg } => {
-                    let handle = self.msgs.insert(msg);
-                    self.msgs.retain_n(handle, 1);
-                    self.send_one(from, to, handle);
-                    self.msgs.seal(handle);
-                }
+                Effect::Send { to, msg } => self.emit(from, epoch, [to], 1, msg, &mut fresh),
                 Effect::Broadcast { msg } => {
-                    let handle = self.msgs.insert(msg);
-                    // Pre-pay the whole fanout in one arena touch;
-                    // send-time drops release their reference back.
-                    self.msgs.retain_n(handle, self.n.saturating_sub(1) as u32);
-                    for to in NodeId::all(self.n) {
-                        if to != from {
-                            self.send_one(from, to, handle);
-                        }
-                    }
-                    self.msgs.seal(handle);
+                    let others = NodeId::all(n).filter(|to| *to != from);
+                    self.emit(from, epoch, others, n.saturating_sub(1), msg, &mut fresh);
                 }
                 Effect::Multicast { targets, msg } => {
-                    let handle = self.msgs.insert(msg);
-                    self.msgs.retain_n(handle, targets.len() as u32);
-                    for to in targets {
-                        self.send_one(from, to, handle);
-                    }
-                    self.msgs.seal(handle);
+                    let count = targets.len();
+                    self.emit(from, epoch, targets, count, msg, &mut fresh);
                 }
                 Effect::SetTimer { id, delay, token } => {
                     let at = self.now + delay;
@@ -788,6 +895,9 @@ impl<P: Protocol> Simulation<P> {
                         .record(self.now, SimEvent::Log { node: from, line });
                 }
             }
+        }
+        if let Some(msg) = fresh {
+            self.stale.insert(from, msg);
         }
         // Hand the (drained) buffer back for the next callback. Node
         // construction uses per-node buffers, so keep the larger one.

@@ -6,9 +6,8 @@
 //! the nodes that serve no client — so faulty nodes never lose
 //! transactions they were the sole recipient of (§3).
 //!
-//! The legacy deterministic grid generator lives here unchanged (moved
-//! from `crates/core/src/workload.rs`, which re-exports these types):
-//! a spec whose `traffic` is `None` produces submissions byte-identical
+//! The legacy deterministic grid generator lives here unchanged: a
+//! spec whose `traffic` is `None` produces submissions byte-identical
 //! to every artifact the suite has ever committed. Setting `traffic`
 //! routes generation through [`TrafficModel`] instead, which is where
 //! Zipf populations, bursty arrivals and conflict profiles come in.

@@ -59,7 +59,7 @@ pub enum ConflictProfile {
 /// assert!(!subs.is_empty());
 /// assert_eq!(subs, model.generate(5, SimTime::from_secs(1), SimTime::from_secs(3), 42));
 /// ```
-#[derive(Clone, Copy, Debug, PartialEq, Eq, serde::Serialize, serde::Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct TrafficModel {
     /// Declared population size (lazily materialized; 10M is cheap).
     pub accounts: u64,

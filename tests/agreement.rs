@@ -1,8 +1,9 @@
 //! Agreement across replicas, checked offline on whole runs: no node
 //! commits a transaction twice, and any two nodes' commit sequences are
 //! prefix-consistent (the shorter is a prefix of the longer) — under no
-//! fault, a transient failure of `t_B + 1` back nodes, and a partition
-//! of the same nodes.
+//! fault, a transient failure of `t_B + 1` back nodes, a partition of
+//! the same nodes, and one Byzantine back node (within every chain's
+//! `t_B`) deviating in each of the four ways.
 //!
 //! The pinned digests of `result_digest.rs` fix what *clients* observe
 //! at one seed; this is the invariant the shared `stabl_types::Replica`
@@ -13,7 +14,9 @@ use stabl_suite::stabl_algorand::AlgorandNode;
 use stabl_suite::stabl_aptos::AptosNode;
 use stabl_suite::stabl_avalanche::AvalancheNode;
 use stabl_suite::stabl_redbelly::RedbellyNode;
-use stabl_suite::stabl_sim::{Protocol, Simulation};
+use stabl_suite::stabl_sim::{
+    ByzantineBehavior, ByzantineSpec, NodeId, Protocol, SimBuilder, SimDuration,
+};
 use stabl_suite::stabl_solana::SolanaNode;
 use stabl_suite::stabl_types::{Transaction, TxId};
 
@@ -25,7 +28,9 @@ where
     P: Protocol<Request = Transaction, Commit = TxId>,
     P::Config: Default,
 {
-    let mut sim = Simulation::<P>::new(config.n, config.seed, P::Config::default());
+    let mut sim = SimBuilder::new(config.n, config.seed)
+        .byzantine(config.byzantine.clone())
+        .build::<P>(P::Config::default());
     config.faults.schedule(&mut sim);
     for submission in config.workload.generate_seeded(config.seed) {
         for node in config
@@ -80,6 +85,20 @@ where
     ] {
         let sequences = commit_sequences::<P>(&setup.run_config(chain, kind));
         assert_agreement(&format!("{chain}/{}", kind.name()), &sequences);
+    }
+    // One Byzantine node is within every chain's `t_B` at n = 10, so it
+    // must not break agreement — its own replica included, since it
+    // still runs the honest protocol on honest inbound traffic.
+    for behavior in [
+        ByzantineBehavior::Mutate,
+        ByzantineBehavior::Equivocate,
+        ByzantineBehavior::Withhold,
+        ByzantineBehavior::Delay(SimDuration::from_millis(700)),
+    ] {
+        let mut config = setup.run_config(chain, ScenarioKind::Baseline);
+        config.byzantine = ByzantineSpec::new([NodeId::new(5)], behavior);
+        let sequences = commit_sequences::<P>(&config);
+        assert_agreement(&format!("{chain}/{behavior:?} on node 5"), &sequences);
     }
 }
 
