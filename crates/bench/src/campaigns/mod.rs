@@ -63,13 +63,12 @@ pub const REGISTRY: &[Campaign] = &[
     },
     Campaign {
         name: "fig3_sensitivity_ci",
-        about: "Fig. 3 replicated over N seeds with 95 % bootstrap CIs \
-                (`results/golden/stats/`: `--quick 20 --seed 42 --replicates 8`)",
+        about: "Fig. 3 replicated over N = 8 seeds with 95 % bootstrap CIs",
         artifacts: &[
             "fig3_sensitivity_ci.json",
             "fig3_sensitivity_ci_telemetry.json",
         ],
-        committed_with: None,
+        committed_with: DEFAULTS,
         run: figures::fig3_sensitivity_ci,
     },
     Campaign {

@@ -78,7 +78,6 @@ pub const CACHE_SCHEMA_VERSION: u32 = 7;
 // stabl-lint: cache-schema: MeanVar, QuantileSketch, SeedSequence
 // stabl-lint: cache-schema: ConfidenceInterval, CellObservation, ReplicateScore
 // stabl-lint: cache-schema: MetricCi, ReplicatedCell, ReplicatedCampaign
-// stabl-lint: cache-schema: MetricVerdict, GateReport, UtilizationSummary
 // stabl-lint: cache-schema: Genome, ByzGene, Fitness, Objective
 // stabl-lint: cache-schema: Strategy, SearchConfig, SearchTrace, TraceStep
 // stabl-lint: cache-schema: SearchOutcome, ShrinkOutcome, CorpusEntry, ScoreCi

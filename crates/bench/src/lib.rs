@@ -21,7 +21,8 @@
 //!
 //! Every campaign accepts:
 //!
-//! * `--quick <secs>` — scale the 400 s campaign down (useful: 100–150);
+//! * `--quick <secs>` — scale the 400 s campaign down (useful: 100–150;
+//!   at least 2);
 //! * `--seed <u64>` — change the master seed;
 //! * `--out <dir>` — where JSON/CSV artefacts go (default `results/`);
 //! * `--jobs <n>` — worker threads for the campaign [`engine`] (default:
@@ -89,6 +90,10 @@ pub struct BenchOpts {
 /// The flags [`BenchOpts::parse`] knows, for its error messages.
 const KNOWN_FLAGS: &str = "--quick --seed --out --jobs --no-cache --replicates --budget \
                            --strategy --objective --chain";
+
+/// The shortest `--quick` horizon whose runs submit any transaction:
+/// below it `PaperSetup::quick` leaves an empty submission window.
+const MIN_QUICK_SECS: u64 = 2;
 
 /// Parses the value of `flag`, naming the flag and what it takes on failure.
 fn parsed<T: std::str::FromStr>(flag: &str, what: &str, value: &str) -> Result<T, String> {
@@ -171,6 +176,11 @@ impl BenchOpts {
             }
         }
         if let Some(secs) = quick {
+            if secs < MIN_QUICK_SECS {
+                return Err(format!(
+                    "--quick takes at least {MIN_QUICK_SECS} seconds, got {secs}"
+                ));
+            }
             opts.setup = PaperSetup::quick(secs, seed.unwrap_or(opts.setup.seed));
         } else if let Some(seed) = seed {
             opts.setup.seed = seed;
@@ -358,6 +368,8 @@ mod tests {
             ("--budget 1", "--budget takes an eval count > 1"),
             ("--quick", "--quick takes seconds, got nothing"),
             ("--quick soon", "--quick takes seconds, got soon"),
+            ("--quick 0", "--quick takes at least 2 seconds, got 0"),
+            ("--quick 1", "--quick takes at least 2 seconds, got 1"),
             ("--seed -1", "--seed takes a u64"),
             ("--out", "--out takes a directory"),
             ("--strategy hill-climb", "known: annealing mu-lambda"),

@@ -35,7 +35,7 @@ fn run_all(jobs: &str, out: &Path) -> Vec<String> {
 #[test]
 #[cfg_attr(
     debug_assertions,
-    ignore = "simulates ~5 000 cells: minutes unoptimised; CI runs it with --release"
+    ignore = "simulates ~6 000 cells: minutes unoptimised; CI runs it with --release"
 )]
 fn all_writes_every_claimed_artifact_identically_for_any_jobs() {
     let scratch = std::env::temp_dir().join(format!("stabl-bench-all-{}", std::process::id()));

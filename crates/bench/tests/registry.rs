@@ -12,6 +12,7 @@ use std::path::{Path, PathBuf};
 use common::files_under;
 use stabl::report::{RadarRow, SensitivityRecord};
 use stabl_bench::campaigns::{self, is_uncommitted_artifact, REGISTRY};
+use stabl_stats::ReplicatedCampaign;
 
 /// The 21 programs `crates/bench/src/bin/` held before the registry
 /// (`ext_speed`, the 22nd, was retired with the speed path).
@@ -88,8 +89,8 @@ fn every_committed_artifact_is_claimed_by_exactly_one_campaign() {
         assert_eq!(owners.len(), 1, "{path} is written by {owners:?}");
     }
 
-    // The run cache is git-ignored and the stats gate owns the golden tree.
-    let mut committed = files_under(&repo_root().join("results"), &[".cache", "golden"]);
+    // The run cache is git-ignored.
+    let mut committed = files_under(&repo_root().join("results"), &[".cache"]);
     committed.retain(|path| !is_uncommitted_artifact(path));
     for path in &committed {
         let owner = claims
@@ -131,14 +132,21 @@ struct Fig3Score {
     sensitivity: SensitivityRecord,
 }
 
+fn read_committed(name: &str) -> String {
+    fs::read_to_string(repo_root().join("results").join(name)).expect(name)
+}
+
+fn committed_fig3() -> Vec<Fig3Score> {
+    serde_json::from_str(&read_committed("fig3_sensitivity.json")).expect("fig. 3 rows")
+}
+
 /// Fig. 7 is Fig. 3's scores on one chart: the two committed artifacts
 /// come from the same 30 cells and must agree cell for cell.
 #[test]
 fn committed_radar_equals_committed_fig3() {
-    let read = |name: &str| fs::read_to_string(repo_root().join("results").join(name)).expect(name);
-    let fig3: Vec<Fig3Score> =
-        serde_json::from_str(&read("fig3_sensitivity.json")).expect("fig. 3 rows");
-    let radar: Vec<RadarRow> = serde_json::from_str(&read("fig7_radar.json")).expect("radar rows");
+    let fig3 = committed_fig3();
+    let radar: Vec<RadarRow> =
+        serde_json::from_str(&read_committed("fig7_radar.json")).expect("radar rows");
     assert_eq!(fig3.len(), 4 * radar.len());
     for row in &fig3 {
         let on_radar = radar
@@ -153,5 +161,29 @@ fn committed_radar_equals_committed_fig3() {
             other => panic!("unexpected scenario {other}"),
         };
         assert_eq!(score, row.sensitivity, "{}/{}", row.chain, row.scenario);
+    }
+}
+
+/// The replicated Fig. 3 is committed at the paper's horizon, and its
+/// replicate 0 runs under the base seed: that replicate is Fig. 3.
+#[test]
+fn committed_replication_starts_with_committed_fig3() {
+    let campaign: ReplicatedCampaign =
+        serde_json::from_str(&read_committed("fig3_sensitivity_ci.json")).expect("replication");
+    assert_eq!(campaign.horizon_secs, 400);
+    assert_eq!(campaign.replicates, 8);
+    let fig3 = committed_fig3();
+    assert_eq!(campaign.cells.len(), fig3.len());
+    for row in &fig3 {
+        let cell = campaign
+            .cell(&row.chain, &row.scenario)
+            .unwrap_or_else(|| panic!("no replicated cell for {}/{}", row.chain, row.scenario));
+        let first = cell.scores[0];
+        assert_eq!(first.seed, campaign.base_seed);
+        assert_eq!(
+            first.score, row.sensitivity.score,
+            "{}/{}",
+            row.chain, row.scenario
+        );
     }
 }

@@ -1,7 +1,7 @@
 //! Percentile-bootstrap confidence intervals on replicate means.
 //!
 //! With N replicate scores per cell (N ≈ 8) a normal-theory interval
-//! would lean on asymptotics the sample cannot support, so the gate
+//! would lean on asymptotics the sample cannot support, so replication
 //! uses the percentile bootstrap instead: resample the N scores with
 //! replacement [`BOOTSTRAP_RESAMPLES`] times, take the mean of each
 //! resample, and read the interval off the empirical quantiles of those
@@ -54,19 +54,6 @@ impl ConfidenceInterval {
     /// The interval width `hi − lo`.
     pub fn width(&self) -> f64 {
         self.hi - self.lo
-    }
-
-    /// The same interval widened by `slack` (≥ 1) around its centre;
-    /// used by the regression gate's suspect band.
-    pub fn widened(&self, slack: f64) -> ConfidenceInterval {
-        let centre = (self.lo + self.hi) / 2.0;
-        let half = (self.hi - self.lo) / 2.0 * slack;
-        ConfidenceInterval {
-            point: self.point,
-            lo: centre - half,
-            hi: centre + half,
-            n: self.n,
-        }
     }
 }
 
@@ -166,20 +153,6 @@ mod tests {
         assert_eq!(a.lo.to_bits(), b.lo.to_bits());
         assert_eq!(a.hi.to_bits(), b.hi.to_bits());
         assert_eq!(a.point.to_bits(), b.point.to_bits());
-    }
-
-    #[test]
-    fn widened_preserves_centre() {
-        let ci = ConfidenceInterval {
-            point: 1.0,
-            lo: 0.8,
-            hi: 1.2,
-            n: 8,
-        };
-        let wide = ci.widened(3.0);
-        assert!((wide.lo - 0.4).abs() < 1e-12);
-        assert!((wide.hi - 1.6).abs() < 1e-12);
-        assert!(wide.contains(ci.lo) && wide.contains(ci.hi));
     }
 
     #[test]

@@ -2,7 +2,7 @@
 //!
 //! The paper reports each sensitivity score from a single run and its
 //! §8 limitations concede the numbers carry no variance estimate. The
-//! simulator makes replication cheap, so this crate supplies the three
+//! simulator makes replication cheap, so this crate supplies the two
 //! statistical layers the campaigns were missing:
 //!
 //! 1. **Mergeable summary sketches** ([`MeanVar`], [`QuantileSketch`]):
@@ -15,12 +15,8 @@
 //!    out over N seeds, and percentile-bootstrap confidence intervals
 //!    ([`percentile_ci`]) summarise the per-seed scores. All resampling
 //!    is driven by [`stabl_sim::DetRng`], so two runs with the same
-//!    seed produce byte-identical artifacts.
-//! 3. **The regression gate** ([`gate`]): diffs two campaign artifact
-//!    trees (a committed golden tree vs a fresh run), classifies every
-//!    metric shift as within-CI / suspect / regression and emits both a
-//!    human report and a machine `BENCH_stats.json`. The `stabl-stats`
-//!    binary wires this into CI.
+//!    seed produce byte-identical artifacts — which is why a replicated
+//!    campaign is checked like every other artifact, by its bytes.
 //!
 //! The crate is scanned by every `stabl-lint` rule family: no wall
 //! clocks or ambient entropy (D-rules), no panics in library code
@@ -31,7 +27,6 @@
 #![warn(missing_docs)]
 
 mod bootstrap;
-pub mod gate;
 mod replicate;
 mod seed;
 mod sketch;

@@ -113,8 +113,8 @@ fn metric_ci(
     }
 }
 
-/// A whole replicated campaign: the artifact format written by the
-/// `fig3_sensitivity_ci` binary and diffed by the regression gate.
+/// A whole replicated campaign: the artifact format the
+/// `fig3_sensitivity_ci` campaign writes (`results/fig3_sensitivity_ci.json`).
 #[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
 pub struct ReplicatedCampaign {
     /// The base seed the [`crate::SeedSequence`] was rooted at.
