@@ -18,6 +18,7 @@
 //!   (§6) versus the fast active reconnect after restarts (≈9 s, §5).
 
 #![forbid(unsafe_code)]
+#![cfg_attr(test, allow(clippy::disallowed_types, clippy::float_cmp))]
 #![warn(missing_docs)]
 
 mod config;

@@ -19,6 +19,7 @@
 //!   sensitivity to partitions as to transient faults (§6).
 
 #![forbid(unsafe_code)]
+#![cfg_attr(test, allow(clippy::disallowed_types, clippy::float_cmp))]
 #![warn(missing_docs)]
 
 mod config;

@@ -20,6 +20,7 @@
 //!   redundant submissions bypass this and *improve* latency (§7).
 
 #![forbid(unsafe_code)]
+#![cfg_attr(test, allow(clippy::disallowed_types, clippy::float_cmp))]
 #![warn(missing_docs)]
 
 mod config;

@@ -61,8 +61,8 @@ pub const CACHE_SCHEMA_VERSION: u32 = 7;
 
 // The cache-schema manifest: every type with a `Serialize` impl in the
 // `RunResult`-reachable crates must be listed here, and `stabl-lint`
-// (rule S-001/S-002) fails the build when the list drifts from the
-// sources. Adding a name here is the reviewed moment to ask whether
+// (rules S-001/S-002, run by `cargo test`) fails when the list drifts
+// from the sources. Adding a name here is the reviewed moment to ask whether
 // CACHE_SCHEMA_VERSION needs a bump.
 // The kernel's internal calendar-queue types (`Agenda`, `MsgArena`,
 // `TimerRegistry`) carry no `Serialize` impls either — the serialised

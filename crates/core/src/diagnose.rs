@@ -86,6 +86,10 @@ pub struct FrameCounts {
 }
 
 impl FrameCounts {
+    #[deny(
+        clippy::wildcard_enum_match_arm,
+        clippy::match_wildcard_for_single_variants
+    )]
     fn count(&mut self, event: &SimEvent) {
         match event {
             SimEvent::MessageSent { .. } => self.sent += 1,
@@ -938,10 +942,13 @@ pub fn diagnose_run(
 }
 
 /// Serialises the timeline as one frame per JSON line.
+#[expect(
+    clippy::expect_used,
+    reason = "in-memory serialisation of a derived struct is infallible and a Result signature would push an impossible branch onto every exporter caller"
+)]
 pub fn timeline_jsonl(timeline: &MetricsTimeline) -> String {
     let mut out = String::new();
     for frame in &timeline.frames {
-        // stabl-lint: allow(R-002, in-memory serialisation of a derived struct is infallible and a Result signature would push an impossible branch onto every exporter caller)
         out.push_str(&serde_json::to_string(frame).expect("frame serialisation cannot fail"));
         out.push('\n');
     }
@@ -950,8 +957,11 @@ pub fn timeline_jsonl(timeline: &MetricsTimeline) -> String {
 
 /// Serialises the whole diagnosis as pretty-printed JSON (newline
 /// terminated).
+#[expect(
+    clippy::expect_used,
+    reason = "in-memory serialisation of a derived struct is infallible and a Result signature would push an impossible branch onto every exporter caller"
+)]
 pub fn diagnosis_json(diagnosis: &Diagnosis) -> String {
-    // stabl-lint: allow(R-002, in-memory serialisation of a derived struct is infallible and a Result signature would push an impossible branch onto every exporter caller)
     let mut out = serde_json::to_string_pretty(diagnosis).expect("serialisation cannot fail");
     out.push('\n');
     out

@@ -598,8 +598,11 @@ impl FaultSchedule {
     /// # Panics
     ///
     /// Panics with the [`FaultError`] message on an invalid schedule.
+    #[expect(
+        clippy::panic,
+        reason = "documented panicking wrapper whose message is the FaultError; apply() is the typed-error path"
+    )]
     pub fn schedule<P: Protocol>(&self, sim: &mut Simulation<P>) {
-        // stabl-lint: allow(R-003, documented panicking wrapper whose message is the FaultError; apply() is the typed-error path)
         self.apply(sim).unwrap_or_else(|e| panic!("{e}"));
     }
 }

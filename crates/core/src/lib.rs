@@ -28,6 +28,7 @@
 //! by the `stabl-bench` binary, one subcommand per figure of the paper.
 
 #![forbid(unsafe_code)]
+#![cfg_attr(test, allow(clippy::disallowed_types, clippy::float_cmp))]
 #![warn(missing_docs)]
 
 mod chains;

@@ -24,10 +24,13 @@ use crate::harness::RunTrace;
 
 /// Serialises every recorded event as one JSON object per line
 /// (`{"t_us":…,"seq":…,"kind":…,…}`), in timeline order.
+#[expect(
+    clippy::expect_used,
+    reason = "in-memory serialisation of SimEvent is infallible and a Result signature would push an impossible branch onto every exporter caller"
+)]
 pub fn events_jsonl(trace: &RunTrace) -> String {
     let mut out = String::new();
     for event in &trace.events {
-        // stabl-lint: allow(R-002, in-memory serialisation of SimEvent is infallible and a Result signature would push an impossible branch onto every exporter caller)
         out.push_str(&serde_json::to_string(event).expect("event serialisation cannot fail"));
         out.push('\n');
     }
@@ -39,8 +42,11 @@ pub fn events_jsonl(trace: &RunTrace) -> String {
 /// JSON object (newline terminated). The stats companion to the event
 /// exports: a trace bundle carries the aggregates without re-parsing
 /// the JSONL stream.
+#[expect(
+    clippy::expect_used,
+    reason = "in-memory serialisation of SimStats is infallible and a Result signature would push an impossible branch onto every exporter caller"
+)]
 pub fn stats_json(stats: &SimStats) -> String {
-    // stabl-lint: allow(R-002, in-memory serialisation of SimStats is infallible and a Result signature would push an impossible branch onto every exporter caller)
     let mut out = serde_json::to_string_pretty(stats).expect("stats serialisation cannot fail");
     out.push('\n');
     out
@@ -61,6 +67,14 @@ fn tid_of(node: stabl_sim::NodeId) -> u64 {
 /// `label` names the process track (typically the chain under test).
 /// Events are emitted in non-decreasing `ts` order, which the CI smoke
 /// job asserts.
+#[expect(
+    clippy::expect_used,
+    reason = "in-memory serialisation of the Chrome trace value is infallible and a Result signature would push an impossible branch onto every exporter caller"
+)]
+#[deny(
+    clippy::wildcard_enum_match_arm,
+    clippy::match_wildcard_for_single_variants
+)]
 pub fn chrome_trace_json(trace: &RunTrace, label: &str) -> String {
     let mut events: Vec<serde_json::Value> = Vec::new();
 
@@ -170,7 +184,6 @@ pub fn chrome_trace_json(trace: &RunTrace, label: &str) -> String {
         "traceEvents": events,
         "displayTimeUnit": "ms",
     }))
-    // stabl-lint: allow(R-002, in-memory serialisation of the Chrome trace value is infallible and a Result signature would push an impossible branch onto every exporter caller)
     .expect("trace serialisation cannot fail")
 }
 

@@ -17,8 +17,7 @@
 //!   (so `0..5` does not produce a bogus float).
 //!
 //! Comments are not discarded: they are returned alongside the tokens
-//! because suppressions (`// stabl-lint: allow(rule, reason)`) and the
-//! cache-schema manifest live in comments.
+//! because the cache-schema manifest lives in comments.
 
 /// What a [`Token`] is.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -61,9 +60,6 @@ pub struct Comment {
     pub text: String,
     /// 1-based line the comment starts on.
     pub line: u32,
-    /// 1-based line the comment ends on (equal to `line` unless the
-    /// comment is a multi-line block comment).
-    pub end_line: u32,
 }
 
 /// The result of lexing one source file.
@@ -227,11 +223,7 @@ fn lex_line_comment(cur: &mut Cursor, out: &mut Lexed, line: u32) {
         text.push(c);
         cur.bump();
     }
-    out.comments.push(Comment {
-        text,
-        line,
-        end_line: line,
-    });
+    out.comments.push(Comment { text, line });
 }
 
 fn lex_block_comment(cur: &mut Cursor, out: &mut Lexed, line: u32) {
@@ -258,12 +250,7 @@ fn lex_block_comment(cur: &mut Cursor, out: &mut Lexed, line: u32) {
             cur.bump();
         }
     }
-    let end_line = cur.line;
-    out.comments.push(Comment {
-        text,
-        line,
-        end_line,
-    });
+    out.comments.push(Comment { text, line });
 }
 
 /// Consumes a `"…"` string starting at the opening quote.
@@ -461,7 +448,7 @@ pub fn test_spans(tokens: &[Token]) -> Vec<(usize, usize)> {
     spans
 }
 
-fn is_punct(tokens: &[Token], i: usize, c: char) -> bool {
+pub(crate) fn is_punct(tokens: &[Token], i: usize, c: char) -> bool {
     tokens
         .get(i)
         .is_some_and(|t| t.kind == TokenKind::Punct && t.text.len() == 1 && t.text.starts_with(c))
@@ -469,7 +456,12 @@ fn is_punct(tokens: &[Token], i: usize, c: char) -> bool {
 
 /// Index of the delimiter matching `tokens[open]` (which must be
 /// `open_c`), respecting nesting.
-fn matching(tokens: &[Token], open: usize, open_c: char, close_c: char) -> Option<usize> {
+pub(crate) fn matching(
+    tokens: &[Token],
+    open: usize,
+    open_c: char,
+    close_c: char,
+) -> Option<usize> {
     let mut depth = 0i64;
     for (idx, t) in tokens.iter().enumerate().skip(open) {
         if t.kind != TokenKind::Punct {

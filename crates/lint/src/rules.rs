@@ -1,779 +1,233 @@
-//! The rule engine: every rule is a pattern over the token stream of
-//! one file, gated by the file's scope (see [`crate::config`]).
+//! The per-file token rules: the two numeric-determinism patterns and
+//! the `Serialize` inventory the cache-schema checks diff against the
+//! manifest.
 //!
-//! | id    | family      | bans |
-//! |-------|-------------|------|
-//! | B-001 | baseline    | stale `lint-baseline.json` entry (debt shrank, ratchet down) |
-//! | D-001 | determinism | `Instant::now` / `SystemTime::now` |
-//! | D-002 | determinism | `thread_rng` / `rand::random` / `OsRng` / `from_entropy` |
-//! | D-003 | determinism | `HashMap` / `HashSet` in protocol code (alias-resolved) |
-//! | E-001 | exhaustive  | `Protocol::Msg` variant without a match arm in its chain crate |
-//! | E-002 | exhaustive  | configured enum variant missing from a cover file |
-//! | N-001 | numeric     | float equality comparison / `partial_cmp` |
-//! | N-002 | numeric     | truncating `as` cast of a time/seed value |
-//! | N-003 | numeric     | raw `+`/`-` on `.as_micros()`/`.as_millis()` output |
-//! | P-001 | shard       | `static mut` in a shard-certified crate |
-//! | P-002 | shard       | `thread_local!` in a shard-certified crate |
-//! | P-003 | shard       | `Rc` / `Arc` in a shard-certified crate |
-//! | P-004 | shard       | `Cell` / `RefCell` / … in a shard-certified crate |
-//! | P-005 | shard       | `Mutex` / `RwLock` / … in a shard-certified crate |
-//! | P-006 | shard       | atomic types in a shard-certified crate |
-//! | R-001 | robustness  | `.unwrap()` in non-test library code |
-//! | R-002 | robustness  | `.expect(…)` in non-test library code |
-//! | R-003 | robustness  | `panic!` / `todo!` / `unimplemented!` in non-test library code |
-//! | R-004 | robustness  | `process::exit` outside `src/bin` |
-//! | S-001 | cache       | `Serialize` type missing from the cache-schema manifest |
-//! | S-002 | cache       | stale cache-schema manifest entry |
-//! | S-003 | cache       | cache scope configured but no manifest marker found |
-//! | X-001 | meta        | malformed `stabl-lint:` suppression comment |
-//! | X-002 | meta        | suppression that suppresses nothing (warning) |
+//! Deliberate scope limits, so the rules stay high-signal:
 //!
-//! The per-file token rules (D, R, S, X plus the v2 P and N families
-//! in [`crate::rules_shard`] / [`crate::rules_numeric`]) run through
-//! [`scan_analysis`]; the cross-file E rules live in
-//! [`crate::rules_exhaustive`] and the B ratchet in
-//! [`crate::baseline`], both driven by the engine.
-//!
-//! Suppression syntax, one rule per comment, reason mandatory:
-//!
-//! ```text
-//! // stabl-lint: allow(R-003, documented panicking wrapper kept for the legacy API)
-//! ```
-//!
-//! A suppression covers its own line and the next line, so it can sit
-//! either at the end of the offending line or directly above it.
+//! * N-002 only fires when a nearby identifier names a time or seed
+//!   (`seed`, `time`, `micros`, `millis`, `nanos`, `now`) and the
+//!   target type narrows below 64 bits — `len() as u32` stays legal.
+//!   Clippy's `cast_possible_truncation` has no such filter and fires
+//!   on dozens of harmless index casts.
+//! * N-003 covers `+`/`-` only: scaling micros with `*`/`/` is how
+//!   rates are computed and is fine; it is *offsets* done in raw
+//!   integer space (instead of `SimTime`/`SimDuration` saturating
+//!   arithmetic) that overflow or underflow silently.
 
-use crate::lexer::{Comment, Token, TokenKind};
-use crate::symbols::{CrateGraph, FileAnalysis};
-use std::collections::BTreeSet;
+use crate::lexer::{is_punct, lex, matching, test_spans, Token, TokenKind};
+use crate::Diagnostic;
 
-/// Diagnostic severity. Only [`Severity::Error`] affects the exit code.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord)]
-pub enum Severity {
-    /// Informational; never fails the build.
-    Warning,
-    /// Fails the build unless suppressed.
-    Error,
-}
+/// Integer/float types narrower than the 64-bit time/seed domain.
+const NARROW: &[&str] = &["u8", "u16", "u32", "i8", "i16", "i32", "f32"];
+/// Identifier fragments that mark a value as time- or seed-typed.
+const TIMEY: &[&str] = &["seed", "time", "micros", "millis", "nanos"];
 
-impl Severity {
-    /// Lower-case name used in output.
-    pub fn name(self) -> &'static str {
-        match self {
-            Severity::Warning => "warning",
-            Severity::Error => "error",
-        }
-    }
-}
-
-/// Static description of one rule (id, severity, summary, fix-hint).
-#[derive(Clone, Copy, Debug)]
-pub struct RuleInfo {
-    /// Stable rule id (`D-001`, …) used in output and suppressions.
-    pub id: &'static str,
-    /// Default severity.
-    pub severity: Severity,
-    /// One-line summary for `--list-rules` and docs.
-    pub summary: &'static str,
-    /// How to fix a violation.
-    pub hint: &'static str,
-}
-
-/// Every rule the engine knows, in id order.
-pub const RULES: &[RuleInfo] = &[
-    RuleInfo {
-        id: "B-001",
-        severity: Severity::Error,
-        summary: "stale lint-baseline.json entry — recorded debt no longer exists",
-        hint: "run `stabl-lint --write-baseline` and commit the shrunk baseline",
-    },
-    RuleInfo {
-        id: "D-001",
-        severity: Severity::Error,
-        summary: "wall-clock read (Instant::now / SystemTime::now) in deterministic code",
-        hint: "use the simulation clock (Ctx::now / SimTime); wall time differs across runs",
-    },
-    RuleInfo {
-        id: "D-002",
-        severity: Severity::Error,
-        summary: "ambient RNG (thread_rng / rand::random / OsRng / from_entropy) in deterministic code",
-        hint: "thread the seeded SimRng through instead; ambient entropy breaks replay",
-    },
-    RuleInfo {
-        id: "D-003",
-        severity: Severity::Error,
-        summary: "HashMap/HashSet in protocol code (iteration order is nondeterministic)",
-        hint: "use BTreeMap/BTreeSet, or collect and sort before iterating",
-    },
-    RuleInfo {
-        id: "E-001",
-        severity: Severity::Error,
-        summary: "Protocol Msg variant without a match arm in its chain crate",
-        hint: "handle the variant in the node's dispatch path (or delete the variant); \
-               a silently ignored message is how liveness bugs hide",
-    },
-    RuleInfo {
-        id: "E-002",
-        severity: Severity::Error,
-        summary: "enum variant not covered by a configured cover file",
-        hint: "add the variant to the cover file's match (exporter / counter) so it \
-               cannot silently vanish from traces and post-mortems",
-    },
-    RuleInfo {
-        id: "N-001",
-        severity: Severity::Error,
-        summary: "float equality comparison (or partial_cmp) in numeric-scoped code",
-        hint: "use total_cmp or integer micros; float comparison semantics are not \
-               replay-stable",
-    },
-    RuleInfo {
-        id: "N-002",
-        severity: Severity::Error,
-        summary: "truncating `as` cast on a time/seed-typed value",
-        hint: "keep times and seeds in u64/u128, or use TryFrom so truncation is explicit",
-    },
-    RuleInfo {
-        id: "N-003",
-        severity: Severity::Error,
-        summary: "unchecked +/- on .as_micros()/.as_millis() output",
-        hint: "stay in SimTime/SimDuration and use their saturating arithmetic instead of \
-               raw integer offsets",
-    },
-    RuleInfo {
-        id: "P-001",
-        severity: Severity::Error,
-        summary: "static mut in a shard-certified crate",
-        hint: "move the state into the node struct; sharded logical processes may not \
-               share ambient state",
-    },
-    RuleInfo {
-        id: "P-002",
-        severity: Severity::Error,
-        summary: "thread_local! state in a shard-certified crate",
-        hint: "move the state into the node struct; thread identity is meaningless under \
-               logical-process sharding",
-    },
-    RuleInfo {
-        id: "P-003",
-        severity: Severity::Error,
-        summary: "shared-ownership handle (Rc/Arc) in a shard-certified crate",
-        hint: "pass owned values or &mut through the handler; aliased state breaks the \
-               pure message-passing model sharding relies on",
-    },
-    RuleInfo {
-        id: "P-004",
-        severity: Severity::Error,
-        summary: "interior mutability (Cell/RefCell/…) in a shard-certified crate",
-        hint: "use plain fields behind &mut self; hidden writes defeat shard-safety \
-               certification",
-    },
-    RuleInfo {
-        id: "P-005",
-        severity: Severity::Error,
-        summary: "lock primitive (Mutex/RwLock/…) in a shard-certified crate",
-        hint: "handlers must not synchronise behind the kernel's back; let the event \
-               kernel serialise access instead",
-    },
-    RuleInfo {
-        id: "P-006",
-        severity: Severity::Error,
-        summary: "atomic type in a shard-certified crate",
-        hint: "atomics imply cross-thread sharing; keep node state owned and let the \
-               kernel order effects",
-    },
-    RuleInfo {
-        id: "R-001",
-        severity: Severity::Error,
-        summary: ".unwrap() in non-test library code",
-        hint: "propagate a typed error, or restructure so the case is impossible (let-else, pop_first)",
-    },
-    RuleInfo {
-        id: "R-002",
-        severity: Severity::Error,
-        summary: ".expect(…) in non-test library code",
-        hint: "propagate a typed error, or restructure so the case is impossible (let-else, pop_first)",
-    },
-    RuleInfo {
-        id: "R-003",
-        severity: Severity::Error,
-        summary: "panic! / todo! / unimplemented! in non-test library code",
-        hint: "return a typed error; a panic takes down the whole campaign worker",
-    },
-    RuleInfo {
-        id: "R-004",
-        severity: Severity::Error,
-        summary: "process::exit outside src/bin",
-        hint: "return an error to the caller; only binaries choose the process exit code",
-    },
-    RuleInfo {
-        id: "S-001",
-        severity: Severity::Error,
-        summary: "Serialize type not listed in the cache-schema manifest",
-        hint: "add the type to the `stabl-lint: cache-schema:` manifest next to \
-               CACHE_SCHEMA_VERSION and bump the version if the wire format changed",
-    },
-    RuleInfo {
-        id: "S-002",
-        severity: Severity::Error,
-        summary: "cache-schema manifest lists a type no Serialize impl defines",
-        hint: "remove the stale name from the manifest (and bump CACHE_SCHEMA_VERSION \
-               if the type was serialised into cached rows)",
-    },
-    RuleInfo {
-        id: "S-003",
-        severity: Severity::Error,
-        summary: "cache scope configured but the manifest file has no cache-schema marker",
-        hint: "add `// stabl-lint: cache-schema: Type, …` comments next to CACHE_SCHEMA_VERSION",
-    },
-    RuleInfo {
-        id: "X-001",
-        severity: Severity::Error,
-        summary: "malformed stabl-lint suppression comment",
-        hint: "write `// stabl-lint: allow(rule-id, reason)` — the reason is mandatory",
-    },
-    RuleInfo {
-        id: "X-002",
-        severity: Severity::Warning,
-        summary: "suppression that matched no diagnostic",
-        hint: "delete the stale allow(…) comment",
-    },
-];
-
-/// Looks up a rule by id.
-pub fn rule(id: &str) -> Option<&'static RuleInfo> {
-    RULES.iter().find(|r| r.id == id)
-}
-
-/// One finding, suppressed or not.
-#[derive(Clone, Debug)]
-pub struct Diagnostic {
-    /// Rule id (`D-001`, …).
-    pub rule: &'static str,
-    /// Severity (from the rule table).
-    pub severity: Severity,
-    /// Path relative to the linted root, `/`-separated.
-    pub file: String,
-    /// 1-based line.
-    pub line: u32,
-    /// 1-based column.
-    pub col: u32,
-    /// Human-readable description of this occurrence.
-    pub message: String,
-    /// Fix hint (from the rule table).
-    pub hint: &'static str,
-    /// `Some(reason)` when an inline suppression covers the finding.
-    pub suppressed: Option<String>,
-    /// `true` when the committed `lint-baseline.json` tolerates the
-    /// finding as known debt (see [`crate::baseline`]).
-    pub baselined: bool,
-}
-
-/// Which rule families apply to one file.
-#[derive(Clone, Copy, Debug, Default)]
-pub struct FileScope {
-    /// D-rules apply.
-    pub determinism: bool,
-    /// R-001..R-003 apply.
-    pub robustness: bool,
-    /// R-004 applies (`false` under `src/bin`).
-    pub exit_banned: bool,
-    /// S-001 applies.
-    pub cache: bool,
-    /// P-rules (shard-safety certification) apply.
-    pub shard: bool,
-    /// N-rules (numeric determinism) apply.
-    pub numeric: bool,
-}
-
-/// The outcome of scanning one file.
+/// What one file contributes to a run.
 #[derive(Clone, Debug, Default)]
 pub struct FileScan {
-    /// Findings, suppressed ones included (marked).
+    /// N-rule findings.
     pub diagnostics: Vec<Diagnostic>,
-    /// Names of types this file gives a `Serialize` impl or derive,
-    /// with positions — collected whenever the file is in *any* scope,
-    /// used by the engine for manifest staleness (S-002).
-    pub serialize_types: Vec<(String, u32, u32)>,
-    /// Suppressions no per-file rule consumed. The engine offers them
-    /// to cross-file diagnostics (E-*, S-002) anchored in this file
-    /// before declaring them unused (X-002).
-    pub pending: Vec<PendingSuppression>,
+    /// Types the file gives a `Serialize` derive or impl, with the
+    /// position of the derive attribute or the impl's type name.
+    pub serialised: Vec<(String, u32, u32)>,
 }
 
-/// A well-formed suppression that matched nothing in the per-file
-/// pass.
-#[derive(Clone, Debug)]
-pub struct PendingSuppression {
-    /// Rule id the suppression names.
-    pub rule: String,
-    /// Mandatory reason text.
-    pub reason: String,
-    /// 1-based line of the comment.
-    pub line: u32,
-    /// Last line of the comment (for block comments).
-    pub end_line: u32,
-}
-
-impl PendingSuppression {
-    /// `true` when this suppression covers `diag` (same rule, within
-    /// the comment's own line through the line after it).
-    pub fn covers(&self, diag: &Diagnostic) -> bool {
-        self.rule == diag.rule && diag.line >= self.line && diag.line <= self.end_line + 1
-    }
-}
-
-struct Suppression {
-    rule: String,
-    reason: String,
-    line: u32,
-    end_line: u32,
-    used: bool,
-}
-
-/// Scans one standalone file: analyzes it, runs the per-file rules,
-/// and converts any leftover suppressions straight to X-002 (there is
-/// no engine around to consume them).
-///
-/// `manifest` is the set of type names the cache-schema manifest lists
-/// (`None` when S-rules are disabled or no manifest is configured).
-pub fn scan_file(
-    rel_path: &str,
-    src: &str,
-    scope: FileScope,
-    manifest: Option<&BTreeSet<String>>,
-) -> FileScan {
-    let fa = FileAnalysis::analyze(rel_path, src);
-    let mut scan = scan_analysis(&fa, scope, manifest, None);
-    flush_pending(&mut scan, rel_path);
-    scan
-}
-
-/// Converts still-pending suppressions into X-002 warnings. The engine
-/// calls this after cross-file rules had their chance; [`scan_file`]
-/// calls it immediately.
-pub fn flush_pending(scan: &mut FileScan, rel_path: &str) {
-    for sup in scan.pending.drain(..) {
-        scan.diagnostics.push(make_diag(
-            "X-002",
-            rel_path,
-            sup.line,
-            1,
-            format!("allow({}) matched no diagnostic", sup.rule),
-        ));
-    }
-}
-
-/// Runs the per-file rules over an already-analyzed file. `graph` is
-/// the file's crate call graph (used by P-rules to annotate findings
-/// with handler reachability); pass `None` when no symbol table is
-/// available.
-pub fn scan_analysis(
-    fa: &FileAnalysis,
-    scope: FileScope,
-    manifest: Option<&BTreeSet<String>>,
-    graph: Option<&CrateGraph>,
-) -> FileScan {
-    let rel_path = fa.rel.as_str();
-    let tokens = &fa.lexed.tokens;
-    let in_test = |idx: usize| fa.in_test_span(idx);
-
+/// Scans the non-test tokens of one file.
+pub fn scan_file(rel: &str, src: &str) -> FileScan {
+    let tokens = lex(src).tokens;
+    let tests = test_spans(&tokens);
     let mut scan = FileScan::default();
-    let mut suppressions = parse_suppressions(&fa.lexed.comments, rel_path, &mut scan.diagnostics);
-
-    let mut raw: Vec<(usize, &'static str, String)> = Vec::new(); // (token idx, rule, message)
-
     for i in 0..tokens.len() {
-        if in_test(i) {
+        if tests.iter().any(|&(start, end)| (start..end).contains(&i)) {
             continue;
         }
-        if scope.determinism {
-            determinism_at(fa, i, &mut raw);
-        }
-        if scope.robustness {
-            robustness_at(tokens, i, &mut raw);
-        }
-        if scope.shard {
-            crate::rules_shard::check_token(fa, i, graph, &mut raw);
-        }
-        if scope.numeric {
-            crate::rules_numeric::check_token(tokens, i, &mut raw);
-        }
-        if scope.exit_banned && matches_path2(tokens, i, "process", "exit") {
-            raw.push((i, "R-004", "`process::exit` outside src/bin".to_owned()));
-        }
-        // Serialize inventory is collected for any in-scope file so the
-        // engine can diff the manifest, but S-001 only fires in cache
-        // scope.
-        collect_serialize(tokens, i, &in_test, &mut scan.serialize_types);
-    }
-    if scope.shard {
-        crate::rules_shard::check_items(fa, &mut raw);
-    }
-
-    if scope.cache {
-        if let Some(manifest) = manifest {
-            for (name, line, col) in &scan.serialize_types {
-                if !manifest.contains(name) {
-                    scan.diagnostics.push(make_diag(
-                        "S-001",
-                        rel_path,
-                        *line,
-                        *col,
-                        format!(
-                            "`{name}` is serialised but missing from the cache-schema manifest"
-                        ),
-                    ));
-                }
-            }
-        }
-    }
-
-    for (idx, rule_id, message) in raw {
-        let t = &tokens[idx];
-        scan.diagnostics
-            .push(make_diag(rule_id, rel_path, t.line, t.col, message));
-    }
-
-    // Apply suppressions: a suppression on line L covers [L, L+1]
-    // (block comments: their *last* line).
-    scan.diagnostics.sort_by_key(|d| (d.line, d.col, d.rule));
-    for diag in &mut scan.diagnostics {
-        if diag.rule == "X-001" {
-            continue; // malformed suppressions cannot self-suppress
-        }
-        for sup in suppressions.iter_mut() {
-            if sup.rule == diag.rule && diag.line >= sup.line && diag.line <= sup.end_line + 1 {
-                diag.suppressed = Some(sup.reason.clone());
-                sup.used = true;
-                break;
-            }
-        }
-    }
-    for sup in suppressions {
-        if !sup.used {
-            scan.pending.push(PendingSuppression {
-                rule: sup.rule,
-                reason: sup.reason,
-                line: sup.line,
-                end_line: sup.end_line,
+        for (rule, message) in [truncating_cast(&tokens, i), raw_time_arith(&tokens, i)]
+            .into_iter()
+            .flatten()
+        {
+            scan.diagnostics.push(Diagnostic {
+                file: rel.to_owned(),
+                line: tokens[i].line,
+                col: tokens[i].col,
+                rule,
+                message,
             });
         }
+        scan.serialised.extend(serialised_type(&tokens, i));
     }
     scan
 }
 
-impl Diagnostic {
-    /// Builds an unsuppressed diagnostic for a known rule id,
-    /// inheriting the rule's severity and hint.
-    pub fn new(
-        rule_id: &'static str,
-        file: &str,
-        line: u32,
-        col: u32,
-        message: String,
-    ) -> Diagnostic {
-        let info = rule(rule_id).unwrap_or(&RULES[0]);
-        Diagnostic {
-            rule: rule_id,
-            severity: info.severity,
-            file: file.to_owned(),
-            line,
-            col,
-            message,
-            hint: info.hint,
-            suppressed: None,
-            baselined: false,
-        }
-    }
-}
-
-fn make_diag(
-    rule_id: &'static str,
-    file: &str,
-    line: u32,
-    col: u32,
-    message: String,
-) -> Diagnostic {
-    Diagnostic::new(rule_id, file, line, col, message)
-}
-
-fn ident_at(tokens: &[Token], i: usize, text: &str) -> bool {
+fn ident(tokens: &[Token], i: usize, text: &str) -> bool {
     tokens
         .get(i)
         .is_some_and(|t| t.kind == TokenKind::Ident && t.text == text)
 }
 
-fn punct_at(tokens: &[Token], i: usize, c: char) -> bool {
-    tokens
-        .get(i)
-        .is_some_and(|t| t.kind == TokenKind::Punct && t.text.len() == 1 && t.text.starts_with(c))
-}
-
-/// `a::b` starting at token `i`.
-fn matches_path2(tokens: &[Token], i: usize, a: &str, b: &str) -> bool {
-    ident_at(tokens, i, a)
-        && punct_at(tokens, i + 1, ':')
-        && punct_at(tokens, i + 2, ':')
-        && ident_at(tokens, i + 3, b)
-}
-
-fn determinism_at(fa: &FileAnalysis, i: usize, raw: &mut Vec<(usize, &'static str, String)>) {
-    let tokens = &fa.lexed.tokens;
-    let Some(t) = tokens.get(i) else { return };
-    if t.kind != TokenKind::Ident {
-        return;
+fn adjacent(tokens: &[Token], i: usize) -> bool {
+    match (tokens.get(i), tokens.get(i + 1)) {
+        (Some(a), Some(b)) => a.line == b.line && b.col == a.col + 1,
+        _ => false,
     }
-    // All D-rule names resolve through the file's `use` aliases, so
-    // `use std::collections::HashMap as FastMap` (or `Instant as
-    // Clock`) cannot smuggle a banned item past the scan.
-    let resolved = fa.resolve_last(&t.text);
-    let alias = |raw_name: &str| {
-        if resolved == t.text {
-            format!("`{raw_name}`")
-        } else {
-            format!("`{}` (alias of `{raw_name}`)", t.text)
-        }
-    };
-    if (resolved == "Instant" || resolved == "SystemTime")
-        && punct_at(tokens, i + 1, ':')
-        && punct_at(tokens, i + 2, ':')
-        && ident_at(tokens, i + 3, "now")
+}
+
+/// N-002: `seed as u32`, `t.as_millis() as i32`, `now as f32` — a
+/// narrowing cast within eight tokens of a time/seed-named value.
+fn truncating_cast(tokens: &[Token], i: usize) -> Option<(&'static str, String)> {
+    if !ident(tokens, i, "as") {
+        return None;
+    }
+    let target = tokens
+        .get(i + 1)
+        .filter(|t| t.kind == TokenKind::Ident && NARROW.contains(&t.text.as_str()))?;
+    let named = tokens[i.saturating_sub(8)..i].iter().rev().find(|t| {
+        let lower = t.text.to_ascii_lowercase();
+        t.kind == TokenKind::Ident
+            && (lower == "now" || TIMEY.iter().any(|frag| lower.contains(frag)))
+    })?;
+    Some((
+        "N-002",
+        format!(
+            "truncating cast `as {}` near time/seed value `{}`; keep times and seeds in \
+             u64/u128, or use TryFrom so truncation is explicit",
+            target.text, named.text
+        ),
+    ))
+}
+
+/// N-003: `a.as_micros() + b`, `x - t.as_millis()` — raw offset
+/// arithmetic on extracted micro/millisecond counts.
+fn raw_time_arith(tokens: &[Token], i: usize) -> Option<(&'static str, String)> {
+    let t = tokens.get(i)?;
+    if t.kind != TokenKind::Ident || (t.text != "as_micros" && t.text != "as_millis") {
+        return None;
+    }
+    if !(is_punct(tokens, i.wrapping_sub(1), '.')
+        && is_punct(tokens, i + 1, '(')
+        && is_punct(tokens, i + 2, ')'))
     {
-        let msg = if resolved == t.text {
-            format!("wall-clock read `{resolved}::now`")
-        } else {
-            format!("wall-clock read `{}::now` (alias of `{resolved}`)", t.text)
-        };
-        raw.push((i, "D-001", msg));
+        return None;
     }
-    if ["thread_rng", "OsRng", "from_entropy", "getrandom"].contains(&resolved) {
-        raw.push((
-            i,
-            "D-002",
-            format!("ambient RNG source {}", alias(resolved)),
-        ));
-    }
-    if matches_path2(tokens, i, "rand", "random") {
-        raw.push((i, "D-002", "ambient RNG source `rand::random`".to_owned()));
-    }
-    if resolved == "HashMap" || resolved == "HashSet" {
-        raw.push((
-            i,
-            "D-003",
-            format!("{} in protocol code (unordered iteration)", alias(resolved)),
-        ));
-    }
-}
-
-fn robustness_at(tokens: &[Token], i: usize, raw: &mut Vec<(usize, &'static str, String)>) {
-    if punct_at(tokens, i, '.') && punct_at(tokens, i + 2, '(') {
-        if ident_at(tokens, i + 1, "unwrap") {
-            raw.push((i + 1, "R-001", "`.unwrap()` in library code".to_owned()));
-        } else if ident_at(tokens, i + 1, "expect") {
-            raw.push((i + 1, "R-002", "`.expect(…)` in library code".to_owned()));
-        }
-    }
-    for mac in ["panic", "todo", "unimplemented"] {
-        if ident_at(tokens, i, mac) && punct_at(tokens, i + 1, '!') {
-            raw.push((i, "R-003", format!("`{mac}!` in library code")));
-        }
-    }
-}
-
-/// Detects `#[derive(… Serialize …)] struct/enum Name` and
-/// `impl Serialize for Name` at token `i`, recording the type name.
-fn collect_serialize(
-    tokens: &[Token],
-    i: usize,
-    in_test: &dyn Fn(usize) -> bool,
-    out: &mut Vec<(String, u32, u32)>,
-) {
-    // `impl … Serialize for Name` — the `Serialize for Name` triple is
-    // unambiguous (no punctuation separates them in an impl header).
-    if ident_at(tokens, i, "Serialize")
-        && ident_at(tokens, i + 1, "for")
+    // Forward: `….as_micros() + …` (a `-` that begins `->` is a return
+    // arrow in a signature, not arithmetic).
+    let after = i + 3;
+    let forward = is_punct(tokens, after, '+')
+        || (is_punct(tokens, after, '-')
+            && !(is_punct(tokens, after + 1, '>') && adjacent(tokens, after)));
+    // Backward: `… + x.as_micros()` for a simple one-identifier
+    // receiver (longer receivers are caught by the forward check on
+    // their own call).
+    let backward = i >= 3
         && tokens
-            .get(i + 2)
-            .is_some_and(|t| t.kind == TokenKind::Ident)
+            .get(i - 2)
+            .is_some_and(|r| r.kind == TokenKind::Ident)
+        && (is_punct(tokens, i - 3, '+') || is_punct(tokens, i - 3, '-'));
+    (forward || backward).then(|| {
+        (
+            "N-003",
+            format!(
+                "raw `+`/`-` on `.{}()` output; stay in SimTime/SimDuration and use their \
+                 saturating arithmetic",
+                t.text
+            ),
+        )
+    })
+}
+
+/// `impl … Serialize for Name` or `#[derive(… Serialize …)]` on a
+/// `struct` / `enum` / `union Name` starting at token `i`.
+fn serialised_type(tokens: &[Token], i: usize) -> Option<(String, u32, u32)> {
+    if ident(tokens, i, "Serialize") && ident(tokens, i + 1, "for") {
+        let name = tokens.get(i + 2).filter(|t| t.kind == TokenKind::Ident)?;
+        return Some((name.text.clone(), name.line, name.col));
+    }
+    if !(is_punct(tokens, i, '#') && is_punct(tokens, i + 1, '[') && ident(tokens, i + 2, "derive"))
     {
-        if let Some(t) = tokens.get(i + 2) {
-            out.push((t.text.clone(), t.line, t.col));
-        }
-        return;
+        return None;
     }
-    // `#[derive(…)]` with Serialize among the paths.
-    if !(punct_at(tokens, i, '#')
-        && punct_at(tokens, i + 1, '[')
-        && ident_at(tokens, i + 2, "derive"))
-    {
-        return;
-    }
-    // Find the closing `]` of this attribute.
-    let mut depth = 0i64;
-    let mut close = None;
-    for (idx, t) in tokens.iter().enumerate().skip(i + 1) {
-        if t.kind != TokenKind::Punct {
-            continue;
-        }
-        match t.text.as_str() {
-            "[" => depth += 1,
-            "]" => {
-                depth -= 1;
-                if depth == 0 {
-                    close = Some(idx);
-                    break;
-                }
-            }
-            _ => {}
-        }
-    }
-    let Some(close) = close else { return };
-    let has_serialize = tokens[i + 3..close]
+    let close = matching(tokens, i + 1, '[', ']')?;
+    if !tokens[i + 3..close]
         .iter()
-        .any(|t| t.kind == TokenKind::Ident && t.text == "Serialize");
-    if !has_serialize || in_test(i) {
-        return;
+        .any(|t| t.kind == TokenKind::Ident && t.text == "Serialize")
+    {
+        return None;
     }
-    // Skip further attributes, then visibility, to the item keyword.
+    // Skip further attributes and the visibility to the item keyword.
     let mut j = close + 1;
     loop {
-        if punct_at(tokens, j, '#') && punct_at(tokens, j + 1, '[') {
-            let mut d = 0i64;
-            let mut advanced = false;
-            for (idx, t) in tokens.iter().enumerate().skip(j + 1) {
-                if t.kind != TokenKind::Punct {
-                    continue;
-                }
-                match t.text.as_str() {
-                    "[" => d += 1,
-                    "]" => {
-                        d -= 1;
-                        if d == 0 {
-                            j = idx + 1;
-                            advanced = true;
-                            break;
-                        }
-                    }
-                    _ => {}
-                }
-            }
-            if !advanced {
-                return;
-            }
-            continue;
-        }
-        if ident_at(tokens, j, "pub") {
+        if is_punct(tokens, j, '#') && is_punct(tokens, j + 1, '[') {
+            j = matching(tokens, j + 1, '[', ']')? + 1;
+        } else if ident(tokens, j, "pub") {
             j += 1;
-            if punct_at(tokens, j, '(') {
-                // pub(crate) / pub(in path)
-                let mut d = 0i64;
-                for (idx, t) in tokens.iter().enumerate().skip(j) {
-                    if t.kind != TokenKind::Punct {
-                        continue;
-                    }
-                    match t.text.as_str() {
-                        "(" => d += 1,
-                        ")" => {
-                            d -= 1;
-                            if d == 0 {
-                                j = idx + 1;
-                                break;
-                            }
-                        }
-                        _ => {}
-                    }
-                }
+            if is_punct(tokens, j, '(') {
+                j = matching(tokens, j, '(', ')')? + 1;
             }
-            continue;
+        } else {
+            break;
         }
-        break;
     }
-    if ident_at(tokens, j, "struct") || ident_at(tokens, j, "enum") || ident_at(tokens, j, "union")
+    if !["struct", "enum", "union"]
+        .iter()
+        .any(|kw| ident(tokens, j, kw))
     {
-        if let Some(t) = tokens.get(j + 1) {
-            if t.kind == TokenKind::Ident {
-                // Anchor at the attribute so a suppression directly
-                // above `#[derive(…)]` covers the finding.
-                let anchor = &tokens[i];
-                out.push((t.text.clone(), anchor.line, anchor.col));
-            }
-        }
+        return None;
     }
+    let name = tokens.get(j + 1).filter(|t| t.kind == TokenKind::Ident)?;
+    Some((name.text.clone(), tokens[i].line, tokens[i].col))
 }
 
-/// Parses `stabl-lint: allow(rule, reason)` comments; pushes X-001
-/// diagnostics for malformed ones.
-fn parse_suppressions(
-    comments: &[Comment],
-    rel_path: &str,
-    diags: &mut Vec<Diagnostic>,
-) -> Vec<Suppression> {
-    let mut out = Vec::new();
-    for comment in comments {
-        // Doc comments (`///`, `//!` — text starts with `/` or `!`)
-        // only *document* the syntax; suppressions are plain comments.
-        if comment.text.starts_with('/') || comment.text.starts_with('!') {
-            continue;
-        }
-        let Some(rest) = comment.text.split("stabl-lint:").nth(1) else {
-            continue;
-        };
-        let rest = rest.trim();
-        if rest.starts_with("cache-schema") {
-            continue; // manifest marker, parsed by the engine
-        }
-        let Some(inner) = rest
-            .strip_prefix("allow(")
-            .and_then(|r| r.split(')').next())
-        else {
-            diags.push(make_diag(
-                "X-001",
-                rel_path,
-                comment.line,
-                1,
-                format!("unrecognised stabl-lint directive `{rest}`"),
-            ));
-            continue;
-        };
-        let Some((rule_id, reason)) = inner.split_once(',') else {
-            diags.push(make_diag(
-                "X-001",
-                rel_path,
-                comment.line,
-                1,
-                "suppression has no reason — allow(rule-id, reason)".to_owned(),
-            ));
-            continue;
-        };
-        let rule_id = rule_id.trim();
-        let reason = reason.trim();
-        if rule(rule_id).is_none() {
-            diags.push(make_diag(
-                "X-001",
-                rel_path,
-                comment.line,
-                1,
-                format!("unknown rule id `{rule_id}` in suppression"),
-            ));
-            continue;
-        }
-        if reason.is_empty() {
-            diags.push(make_diag(
-                "X-001",
-                rel_path,
-                comment.line,
-                1,
-                "suppression reason is empty".to_owned(),
-            ));
-            continue;
-        }
-        out.push(Suppression {
-            rule: rule_id.to_owned(),
-            reason: reason.to_owned(),
-            line: comment.line,
-            end_line: comment.end_line,
-            used: false,
-        });
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn findings(src: &str) -> Vec<&'static str> {
+        scan_file("x.rs", src)
+            .diagnostics
+            .into_iter()
+            .map(|d| d.rule)
+            .collect()
     }
-    out
+
+    fn serialised(src: &str) -> Vec<String> {
+        scan_file("x.rs", src)
+            .serialised
+            .into_iter()
+            .map(|(name, _, _)| name)
+            .collect()
+    }
+
+    #[test]
+    fn n002_flags_narrowing_casts_of_timey_values() {
+        assert_eq!(findings("let s = seed as u32;"), vec!["N-002"]);
+        assert_eq!(findings("let m = t.as_millis() as i32;"), vec!["N-002"]);
+        assert_eq!(findings("let f = start_time as f32;"), vec!["N-002"]);
+        // Widening casts and non-time values pass.
+        assert!(findings("let s = seed as u64;").is_empty());
+        assert!(findings("let n = items.len() as u32;").is_empty());
+    }
+
+    #[test]
+    fn n003_flags_raw_offset_arithmetic() {
+        assert_eq!(
+            findings("let mid = (a.as_micros() + b.as_micros()) / 2;"),
+            vec!["N-003", "N-003"]
+        );
+        assert_eq!(findings("let d = x.as_millis() - 5;"), vec!["N-003"]);
+        assert_eq!(findings("let d = 5 + x.as_millis();"), vec!["N-003"]);
+        // Scaling and lone extraction pass; so does a return arrow.
+        assert!(findings("let r = x.as_micros() * 2;").is_empty());
+        assert!(findings("let u = x.as_micros();").is_empty());
+        assert!(findings("fn f(x: T) -> u128 { x.as_micros() }").is_empty());
+    }
+
+    #[test]
+    fn serialize_inventory_sees_derives_and_impls_outside_tests() {
+        assert_eq!(
+            serialised("#[derive(Clone, Serialize)]\n#[serde(x)]\npub(crate) struct A;"),
+            vec!["A"]
+        );
+        assert_eq!(serialised("impl Serialize for B {}"), vec!["B"]);
+        assert!(serialised("#[derive(Clone)] enum C {}").is_empty());
+        assert!(serialised("#[cfg(test)]\nmod t { #[derive(Serialize)] struct D; }").is_empty());
+    }
 }

@@ -1,5 +1,4 @@
 // Fixture manifest: `Listed` is covered; `Ghost` is stale (no
-// Serialize impl anywhere) and must raise S-002; `Tolerated` is
-// deliberately unlisted (its S-001 is suppressed at the use site).
+// Serialize impl anywhere in scope) and must raise S-002.
 pub const CACHE_SCHEMA_VERSION: u32 = 1;
 // stabl-lint: cache-schema: Listed, Ghost

@@ -1,5 +1,5 @@
 // S-001 fixtures: one listed type, one unlisted derive, one unlisted
-// manual impl, one suppressed.
+// manual impl, one unlisted type in test code.
 
 #[derive(Serialize)]
 pub struct Listed {
@@ -17,8 +17,8 @@ impl Serialize for Manual {
     fn to_content(&self) {}
 }
 
-// stabl-lint: allow(S-001, fixture demonstrating a reasoned unlisted type)
-#[derive(Serialize)]
-pub struct Tolerated {
-    pub z: u32,
+#[cfg(test)]
+mod tests {
+    #[derive(Serialize)]
+    struct TestOnly;
 }

@@ -1,14 +1,9 @@
 // Out-of-scope fixture: the same patterns as the positive fixtures,
-// in a crate no rule family covers. Must produce zero diagnostics.
-use std::collections::HashMap;
+// in a crate outside the scope. Must produce zero diagnostics.
+#[derive(Serialize)]
+pub struct Elsewhere;
 
-pub fn everything_goes() -> u64 {
-    let _ = std::time::Instant::now();
-    let m: HashMap<u32, u32> = HashMap::new();
-    let v = m.get(&0).copied();
-    let out = v.unwrap();
-    if out > 100 {
-        panic!("even this is fine here");
-    }
-    out
+pub fn everything_goes(seed: u64, t: SimTime) -> u32 {
+    let _ = t.as_micros() + 1;
+    seed as u32
 }

@@ -35,10 +35,10 @@ fn nested_block_comments() {
 }
 
 #[test]
-fn multi_line_block_comment_tracks_end_line() {
+fn multi_line_block_comment_keeps_line_numbers() {
     let lexed = lex("/* a\nb\nc */ x");
     assert_eq!(lexed.comments[0].line, 1);
-    assert_eq!(lexed.comments[0].end_line, 3);
+    assert_eq!(lexed.comments[0].text, " a\nb\nc ");
     assert_eq!(lexed.tokens[0].line, 3);
 }
 

@@ -18,6 +18,7 @@
 //!   fast, active reconnect after process restarts.
 
 #![forbid(unsafe_code)]
+#![cfg_attr(test, allow(clippy::disallowed_types, clippy::float_cmp))]
 #![warn(missing_docs)]
 
 mod binary;

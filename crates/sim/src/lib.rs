@@ -40,6 +40,7 @@
 //! ```
 
 #![forbid(unsafe_code)]
+#![cfg_attr(test, allow(clippy::disallowed_types, clippy::float_cmp))]
 #![warn(missing_docs)]
 
 mod agenda;

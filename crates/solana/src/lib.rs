@@ -21,6 +21,7 @@
 //!   cluster — the paper's headline Solana result (§5, §6).
 
 #![forbid(unsafe_code)]
+#![cfg_attr(test, allow(clippy::disallowed_types, clippy::float_cmp))]
 #![warn(missing_docs)]
 
 mod config;

@@ -5,6 +5,7 @@
 //! summary equals the one-shot summary however the per-seed parts are
 //! grouped), and bootstrap confidence intervals must be byte-identical
 //! across runs with the same seed.
+#![allow(clippy::float_cmp)]
 
 use proptest::prelude::*;
 

@@ -11,6 +11,7 @@
 //! varies lives here once, so the chain crates hold only what differs.
 
 #![forbid(unsafe_code)]
+#![cfg_attr(test, allow(clippy::disallowed_types, clippy::float_cmp))]
 #![warn(missing_docs)]
 
 mod account_pool;
