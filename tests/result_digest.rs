@@ -1,20 +1,28 @@
 //! Byte-identity of run results as a tested contract: the SHA-256 of the
-//! serialised [`RunResult`] of 5 chains × {baseline, transient} at
-//! `PaperSetup::quick(20, 7)`, and of 5 chains × the four Byzantine
-//! behaviours on node 9 under the same transient schedule. Node 9 is
-//! also a transient victim, so the Byzantine rows cover held-back sends
-//! dying with their sender's epoch and the stale payload resetting on
-//! restart.
+//! serialised [`RunResult`] at `PaperSetup::quick(20, 7)` of
+//!
+//! * 5 chains × {baseline, transient, partition};
+//! * 5 chains × the four Byzantine behaviours on node 9 under the same
+//!   transient schedule. Node 9 is also a transient victim, so these
+//!   rows cover held-back sends dying with their sender's epoch and the
+//!   stale payload resetting on restart;
+//! * 5 chains × one composed schedule: lossy, duplicating, reordering
+//!   links everywhere, two flaps cutting node 8's inbound links, node 7
+//!   slowed and node 9 partitioned inside the degrade window. These rows
+//!   cover a partition and a sever stacked on links that a probabilistic
+//!   rule also matches.
 //!
 //! A change that is meant to keep results (a refactor, a speed-up) must
 //! leave every constant alone; a change that is meant to move them
 //! re-records the table at the commit that moves them and says so.
 
-use stabl_suite::stabl::{Chain, PaperSetup, RunResult, ScenarioKind};
-use stabl_suite::stabl_sim::{ByzantineBehavior, ByzantineSpec, NodeId, SimDuration};
+use stabl_suite::stabl::{
+    Chain, FaultAction, FaultSchedule, FaultWindow, PaperSetup, RunResult, ScenarioKind,
+};
+use stabl_suite::stabl_sim::{ByzantineBehavior, ByzantineSpec, LinkFault, NodeId, SimDuration};
 use stabl_suite::stabl_types::Sha256;
 
-const PINNED: [(Chain, ScenarioKind, &str); 10] = [
+const PINNED: [(Chain, ScenarioKind, &str); 15] = [
     (
         Chain::Algorand,
         ScenarioKind::Baseline,
@@ -24,6 +32,11 @@ const PINNED: [(Chain, ScenarioKind, &str); 10] = [
         Chain::Algorand,
         ScenarioKind::Transient,
         "135de38ab0695164ddec3db04f834bcdb5e7b6b7538c55ef9a271a5d1560aad3",
+    ),
+    (
+        Chain::Algorand,
+        ScenarioKind::Partition,
+        "b8bea65ceb2e42c4705c7bad274d0b8b7d2ec5c89bef76afd022d443769333c3",
     ),
     (
         Chain::Aptos,
@@ -36,6 +49,11 @@ const PINNED: [(Chain, ScenarioKind, &str); 10] = [
         "08bc36a868d125382ba473a79cc00d54a115234b4b079f561671f1e557a68a33",
     ),
     (
+        Chain::Aptos,
+        ScenarioKind::Partition,
+        "7195dd6ed1bcc06660d7ba08cf8062b5ff10082f386ac832c9b52d6062a81b93",
+    ),
+    (
         Chain::Avalanche,
         ScenarioKind::Baseline,
         "cf57ed279f5d79400aa74e45cc987cd94cddb043ba0967ae816eb81290dfe768",
@@ -44,6 +62,11 @@ const PINNED: [(Chain, ScenarioKind, &str); 10] = [
         Chain::Avalanche,
         ScenarioKind::Transient,
         "1b4934afe96b413494077ceba48bcb7c51ee7f6a6190aeb4dd7a5162d1ed7bb6",
+    ),
+    (
+        Chain::Avalanche,
+        ScenarioKind::Partition,
+        "9d5e015f76cf7e3bc3a179664ee53a903cc45c010463f1820120c605bdf6f7ce",
     ),
     (
         Chain::Redbelly,
@@ -56,6 +79,11 @@ const PINNED: [(Chain, ScenarioKind, &str); 10] = [
         "e0b698e259740a8176b7f4e4a7afb5d0c2639adac748b3e95b2f3f6503dd2e54",
     ),
     (
+        Chain::Redbelly,
+        ScenarioKind::Partition,
+        "d0e4a40e7d808e1221055394fe54ebfec047f0eff59f30627832761295a9d91f",
+    ),
+    (
         Chain::Solana,
         ScenarioKind::Baseline,
         "411de47a537bc3fd5f0e26a608ca8fd614342e0c5bb97c89f2259c42f183af32",
@@ -64,6 +92,11 @@ const PINNED: [(Chain, ScenarioKind, &str); 10] = [
         Chain::Solana,
         ScenarioKind::Transient,
         "fdb93a81f53ce1ded2535864a626bb1314df759d02235598f7fd96fb2e47bca4",
+    ),
+    (
+        Chain::Solana,
+        ScenarioKind::Partition,
+        "240a78f516ec5a008cfdf6163188fcf73d169d01eb14e81e84bcd7ba6ae46650",
     ),
 ];
 
@@ -175,6 +208,72 @@ const PINNED_BYZANTINE: [(Chain, ByzantineBehavior, &str); 20] = [
     ),
 ];
 
+/// Recorded on the kernel that still kept partitions apart from link
+/// faults, in their own rule list, handle map and drop checks.
+const PINNED_COMPOSED: [(Chain, &str); 5] = [
+    (
+        Chain::Algorand,
+        "731ce2d86957baa17ccbb1a1171cf8e31ce3fb3e3fb9fc2efadf53c64b74d904",
+    ),
+    (
+        Chain::Aptos,
+        "cb051b3a677d42c4f2690fecedd6f68e8662aaafaace7ec0affeb81ba844c148",
+    ),
+    (
+        Chain::Avalanche,
+        "d50d848122bd84bfb52be241d9722bb64c974af33476432ddadf139964612cf2",
+    ),
+    (
+        Chain::Redbelly,
+        "44a670a033fb0826e6b79cc3a01ab0a9043a828e797f0c48e0ced0f0f33aaf91",
+    ),
+    (
+        Chain::Solana,
+        "612183c9f953efa5843003e8c3e3402ea2097860466a9b6a48c3d31df7fb8a8f",
+    ),
+];
+
+/// The composed schedule of the `PINNED_COMPOSED` rows, laid out over
+/// the setup's fault window like the `ext_chaos` campaign (without its
+/// Byzantine node).
+fn composed_schedule(setup: &PaperSetup) -> FaultSchedule {
+    let window = FaultWindow::new(setup.fault_at, setup.recover_at);
+    let degrade = LinkFault::all()
+        .with_drop(0.05)
+        .with_duplicate(0.05)
+        .with_reorder(0.05, SimDuration::from_millis(30));
+    let inbound_cut = LinkFault::from_parts(
+        None,
+        Some(vec![NodeId::new(8)]),
+        1.0,
+        0.0,
+        0.0,
+        SimDuration::ZERO,
+    );
+    let flap = |slice: FaultWindow| FaultAction::LinkDegrade {
+        fault: inbound_cut.clone(),
+        at: slice.at,
+        until: slice.until,
+    };
+    // The middle third overlaps the first flap, so the link 9 → 8 is
+    // both partitioned and severed for a while.
+    let isolation = window.slice(1, 3);
+    FaultSchedule::link_degrade(degrade, window.at, window.until)
+        .and(flap(window.slice(1, 4)))
+        .and(flap(window.slice(3, 4)))
+        .and(FaultAction::Slowdown {
+            nodes: vec![NodeId::new(7)],
+            extra: SimDuration::from_millis(300),
+            at: window.at,
+            until: window.until,
+        })
+        .and(FaultAction::Partition {
+            nodes: vec![NodeId::new(9)],
+            at: isolation.at,
+            heal_at: isolation.until,
+        })
+}
+
 fn digest(result: &RunResult) -> String {
     let json = serde_json::to_string(result).expect("RunResult serialises");
     let mut hasher = Sha256::new();
@@ -200,6 +299,15 @@ fn serialised_run_results_match_the_pinned_digests() {
             drifted.push(format!(
                 "{chain}/Transient + {behavior:?} on node 9: {digest} (pinned {pinned})"
             ));
+        }
+    }
+    let composed = composed_schedule(&setup);
+    for (chain, pinned) in PINNED_COMPOSED {
+        let mut config = setup.run_config(chain, ScenarioKind::Baseline);
+        config.faults = composed.clone();
+        let digest = digest(&chain.run(&config));
+        if digest != pinned {
+            drifted.push(format!("{chain}/composed: {digest} (pinned {pinned})"));
         }
     }
     assert!(
