@@ -582,7 +582,7 @@ impl Protocol for AlgorandNode {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use stabl_sim::{PartitionRule, Simulation};
+    use stabl_sim::Simulation;
     use stabl_types::AccountId;
     use std::collections::HashSet;
 
@@ -707,11 +707,7 @@ mod tests {
         let mut s = sim(10, 5);
         submit_stream(&mut s, 10, 100, 1, 120);
         let isolated: Vec<NodeId> = (5..7u32).map(NodeId::new).collect();
-        s.schedule_partition(
-            SimTime::from_secs(10),
-            SimTime::from_secs(45),
-            PartitionRule::isolate(isolated, 10),
-        );
+        s.schedule_partition(SimTime::from_secs(10), SimTime::from_secs(45), isolated);
         s.run_until(SimTime::from_secs(240));
         assert_eq!(
             unique_commits_at(&s, 0),
@@ -749,7 +745,7 @@ mod tests {
         s.schedule_partition(
             SimTime::from_secs(1),
             SimTime::from_secs(4),
-            PartitionRule::isolate([NodeId::new(9)], 10),
+            [NodeId::new(9)],
         );
         // Submit during the partition; stop rounds from committing it
         // away before the heal by partitioning enough nodes? Instead,

@@ -603,7 +603,7 @@ impl Protocol for AptosNode {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use stabl_sim::{NodeStatus, PartitionRule, SimDuration, Simulation};
+    use stabl_sim::{NodeStatus, SimDuration, Simulation};
     use stabl_types::AccountId;
 
     fn sim(n: usize, seed: u64) -> Simulation<AptosNode> {
@@ -711,11 +711,7 @@ mod tests {
         let mut sim = sim(10, 5);
         submit_stream(&mut sim, 10, 100, 1, 60);
         let isolated: Vec<NodeId> = (5..9u32).map(NodeId::new).collect();
-        sim.schedule_partition(
-            SimTime::from_secs(10),
-            SimTime::from_secs(40),
-            PartitionRule::isolate(isolated, 10),
-        );
+        sim.schedule_partition(SimTime::from_secs(10), SimTime::from_secs(40), isolated);
         sim.run_until(SimTime::from_secs(120));
         let unique: std::collections::HashSet<TxId> = sim
             .commits()

@@ -579,7 +579,7 @@ impl Protocol for AvalancheNode {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use stabl_sim::{PartitionRule, SimDuration, Simulation};
+    use stabl_sim::{SimDuration, Simulation};
     use stabl_types::AccountId;
     use std::collections::HashSet;
 
@@ -724,11 +724,7 @@ mod tests {
         let mut s = sim(10, 5);
         submit_stream(&mut s, 10, 100, 1, 60);
         let isolated: Vec<NodeId> = (5..7u32).map(NodeId::new).collect();
-        s.schedule_partition(
-            SimTime::from_secs(20),
-            SimTime::from_secs(50),
-            PartitionRule::isolate(isolated, 10),
-        );
+        s.schedule_partition(SimTime::from_secs(20), SimTime::from_secs(50), isolated);
         s.run_until(SimTime::from_secs(60));
         // With 2 of 10 unreachable, α = 4 of k = 5 samples fails too
         // often for β consecutive successes: few or no commits during

@@ -25,7 +25,7 @@
 use std::collections::BTreeSet;
 use std::fmt;
 
-use stabl_sim::{LinkFault, NodeId, PartitionRule, Protocol, SimDuration, SimTime, Simulation};
+use stabl_sim::{LinkFault, NodeId, Protocol, SimDuration, SimTime, Simulation};
 
 /// Why a fault schedule failed validation.
 #[derive(Clone, Debug, PartialEq)]
@@ -384,7 +384,6 @@ impl FaultAction {
     }
 
     fn schedule_on<P: Protocol>(&self, sim: &mut Simulation<P>) {
-        let n = sim.n();
         match self {
             FaultAction::Crash { nodes, at } => {
                 for node in nodes {
@@ -402,8 +401,7 @@ impl FaultAction {
                 }
             }
             FaultAction::Partition { nodes, at, heal_at } => {
-                let rule = PartitionRule::isolate(nodes.iter().copied(), n);
-                sim.schedule_partition(*at, *heal_at, rule);
+                sim.schedule_partition(*at, *heal_at, nodes.iter().copied());
             }
             FaultAction::Slowdown {
                 nodes,
@@ -764,7 +762,7 @@ mod tests {
         FaultSchedule::partition(nodes(&[0]), SimTime::from_secs(1), SimTime::from_secs(2))
             .schedule(&mut sim);
         sim.run_until(SimTime::from_millis(1500));
-        assert_eq!(sim.network().active_rules(), 1);
+        assert_eq!(sim.network().active_rules(), 2, "a partition is two severs");
         sim.run_until(SimTime::from_secs(3));
         assert_eq!(sim.network().active_rules(), 0);
     }
@@ -854,7 +852,7 @@ mod tests {
         sim.run_until(SimTime::from_secs(2));
         assert_eq!(sim.status(NodeId::new(5)), NodeStatus::Crashed);
         assert!(!sim.network().slowdown(NodeId::new(4)).is_zero());
-        assert_eq!(sim.network().active_link_faults(), 1);
+        assert_eq!(sim.network().active_rules(), 1);
     }
 
     #[test]

@@ -632,7 +632,7 @@ impl Protocol for RedbellyNode {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use stabl_sim::{PartitionRule, SimDuration, Simulation};
+    use stabl_sim::{SimDuration, Simulation};
     use stabl_types::AccountId;
     use std::collections::HashSet;
 
@@ -749,11 +749,7 @@ mod tests {
         let mut s = sim(10, 5);
         submit_stream(&mut s, 10, 100, 1, 120);
         let isolated: Vec<NodeId> = (5..9u32).map(NodeId::new).collect();
-        s.schedule_partition(
-            SimTime::from_secs(10),
-            SimTime::from_secs(45),
-            PartitionRule::isolate(isolated, 10),
-        );
+        s.schedule_partition(SimTime::from_secs(10), SimTime::from_secs(45), isolated);
         s.run_until(SimTime::from_secs(220));
         assert_eq!(
             unique_commits_at(&s, 0),

@@ -10,8 +10,8 @@ use crate::trace::{
     DEFAULT_EVENT_CAP,
 };
 use crate::{
-    ByzantineBehavior, ByzantineSpec, Ctx, DetRng, LatencyModel, LinkFault, LinkFaultId, Network,
-    NodeId, PartitionId, PartitionRule, Protocol, SimDuration, SimTime, TimerId,
+    ByzantineBehavior, ByzantineSpec, Ctx, DetRng, LatencyModel, LinkFault, Network, NodeId,
+    Protocol, SimDuration, SimTime, TimerId,
 };
 
 /// Liveness state of a simulated node.
@@ -142,18 +142,13 @@ enum EventKind<P: Protocol> {
     },
     Crash(NodeId),
     Restart(NodeId),
-    PartitionStart {
+    /// Installs `faults` under one handle, their drops booked as `cause`.
+    RuleStart {
         handle: u64,
-        rule: PartitionRule,
+        cause: DropCause,
+        faults: Vec<LinkFault>,
     },
-    PartitionEnd {
-        handle: u64,
-    },
-    LinkFaultStart {
-        handle: u64,
-        fault: LinkFault,
-    },
-    LinkFaultEnd {
+    RuleEnd {
         handle: u64,
     },
     SetSlowdown {
@@ -191,10 +186,7 @@ pub struct Simulation<P: Protocol> {
     /// Recycled effect buffer handed to each protocol callback, so the
     /// per-event `Vec` allocation of the seed kernel disappears.
     scratch: Vec<Effect<P>>,
-    partition_handles: BTreeMap<u64, PartitionId>,
-    next_partition_handle: u64,
-    link_fault_handles: BTreeMap<u64, LinkFaultId>,
-    next_link_fault_handle: u64,
+    next_rule_handle: u64,
     /// Flat `n × n` matrix of last-scheduled delivery instants, indexed
     /// `from * n + to` (replaces the seed's per-link `BTreeMap`).
     link_clock: Vec<SimTime>,
@@ -225,7 +217,7 @@ impl<P: Protocol> Simulation<P> {
             queue: Agenda::new(),
             nodes: Vec::with_capacity(b.n),
             net: {
-                let mut net = Network::new(b.latency);
+                let mut net = Network::new(b.n, b.latency);
                 if let Some(topology) = b.topology.clone() {
                     net.set_topology(topology);
                 }
@@ -235,10 +227,7 @@ impl<P: Protocol> Simulation<P> {
             timers: TimerRegistry::new(),
             msgs: MsgArena::new(),
             scratch: Vec::new(),
-            partition_handles: BTreeMap::new(),
-            next_partition_handle: 0,
-            link_fault_handles: BTreeMap::new(),
-            next_link_fault_handle: 0,
+            next_rule_handle: 0,
             link_clock: vec![SimTime::ZERO; b.n * b.n],
             byzantine: b.byzantine,
             stale: BTreeMap::new(),
@@ -350,7 +339,7 @@ impl<P: Protocol> Simulation<P> {
         stats
     }
 
-    /// The network fabric (latency model, partition drop counters).
+    /// The network fabric (latency model, rule table, slowdowns).
     pub fn network(&self) -> &Network {
         &self.net
     }
@@ -400,17 +389,27 @@ impl<P: Protocol> Simulation<P> {
         );
     }
 
-    /// Schedules a partition installed at `start` and healed at `end`.
+    /// Schedules a partition isolating `isolated` from every other node,
+    /// installed at `start` and healed at `end`: the netfilter drop rule
+    /// pair `sever(isolated → rest)` and `sever(rest → isolated)`.
     ///
     /// # Panics
     ///
     /// Panics if `end < start`.
-    pub fn schedule_partition(&mut self, start: SimTime, end: SimTime, rule: PartitionRule) {
+    pub fn schedule_partition<I>(&mut self, start: SimTime, end: SimTime, isolated: I)
+    where
+        I: IntoIterator<Item = NodeId>,
+    {
         assert!(start <= end, "partition must end after it starts");
-        let handle = self.next_partition_handle;
-        self.next_partition_handle += 1;
-        self.push(start, EventKind::PartitionStart { handle, rule });
-        self.push(end, EventKind::PartitionEnd { handle });
+        let isolated: Vec<NodeId> = isolated.into_iter().collect();
+        let rest: Vec<NodeId> = NodeId::all(self.n)
+            .filter(|id| !isolated.contains(id))
+            .collect();
+        let faults = vec![
+            LinkFault::sever(isolated.iter().copied(), rest.iter().copied()),
+            LinkFault::sever(rest, isolated),
+        ];
+        self.schedule_rules(start, end, DropCause::Partition, faults);
     }
 
     /// Schedules a message-level link fault installed at `start` and
@@ -422,10 +421,27 @@ impl<P: Protocol> Simulation<P> {
     /// Panics if `end < start`.
     pub fn schedule_link_fault(&mut self, start: SimTime, end: SimTime, fault: LinkFault) {
         assert!(start <= end, "link fault must end after it starts");
-        let handle = self.next_link_fault_handle;
-        self.next_link_fault_handle += 1;
-        self.push(start, EventKind::LinkFaultStart { handle, fault });
-        self.push(end, EventKind::LinkFaultEnd { handle });
+        self.schedule_rules(start, end, DropCause::LinkFault, vec![fault]);
+    }
+
+    fn schedule_rules(
+        &mut self,
+        start: SimTime,
+        end: SimTime,
+        cause: DropCause,
+        faults: Vec<LinkFault>,
+    ) {
+        let handle = self.next_rule_handle;
+        self.next_rule_handle += 1;
+        self.push(
+            start,
+            EventKind::RuleStart {
+                handle,
+                cause,
+                faults,
+            },
+        );
+        self.push(end, EventKind::RuleEnd { handle });
     }
 
     /// Runs the simulation until no event at or before `horizon` remains;
@@ -449,55 +465,12 @@ impl<P: Protocol> Simulation<P> {
     fn dispatch(&mut self, kind: EventKind<P>) {
         match kind {
             EventKind::Deliver { from, to, msg } => {
-                // Fault checks only run while a partition rule or link
-                // fault is installed; on the quiet fast path both are
-                // vacuously false.
-                if !self.net.quiet() {
-                    if self.net.blocked(from, to) {
-                        self.msgs.release(msg);
-                        self.net.note_partition_drop();
-                        self.stats.messages_dropped_partition += 1;
-                        self.recorder.record(
-                            self.now,
-                            SimEvent::MessageDropped {
-                                from,
-                                to,
-                                cause: DropCause::Partition,
-                            },
-                        );
-                        return;
-                    }
-                    if self.net.link_severed(from, to) {
-                        // Packets already in flight when an asymmetric
-                        // partition was installed die at delivery time,
-                        // just like in-flight packets under a symmetric
-                        // partition.
-                        self.msgs.release(msg);
-                        self.net.note_link_drop();
-                        self.stats.messages_dropped_link += 1;
-                        self.recorder.record(
-                            self.now,
-                            SimEvent::MessageDropped {
-                                from,
-                                to,
-                                cause: DropCause::LinkFault,
-                            },
-                        );
-                        return;
-                    }
-                }
-                if self.nodes[to.index()].status != NodeStatus::Running {
-                    self.msgs.release(msg);
-                    self.stats.messages_dropped_dead += 1;
-                    self.recorder.record(
-                        self.now,
-                        SimEvent::MessageDropped {
-                            from,
-                            to,
-                            cause: DropCause::DeadNode,
-                        },
-                    );
-                    return;
+                // Packets already in flight when a partition or sever was
+                // installed die at delivery time.
+                let dead = (self.nodes[to.index()].status != NodeStatus::Running)
+                    .then_some(DropCause::DeadNode);
+                if let Some(cause) = self.net.severed(from, to).or(dead) {
+                    return self.drop_message(from, to, msg, cause);
                 }
                 let Some(payload) = self.msgs.consume(msg) else {
                     return;
@@ -568,46 +541,21 @@ impl<P: Protocol> Simulation<P> {
                     self.apply_effects(node, effects);
                 }
             }
-            EventKind::PartitionStart { handle, rule } => {
-                let id = self.net.install(rule);
-                self.partition_handles.insert(handle, id);
-                self.recorder.record(
-                    self.now,
-                    SimEvent::FaultActivated {
-                        kind: FaultKind::Partition,
-                    },
-                );
+            EventKind::RuleStart {
+                handle,
+                cause,
+                faults,
+            } => {
+                self.net.insert_rules(handle, cause, faults);
+                let kind = rule_kind(cause);
+                self.recorder
+                    .record(self.now, SimEvent::FaultActivated { kind });
             }
-            EventKind::PartitionEnd { handle } => {
-                if let Some(id) = self.partition_handles.remove(&handle) {
-                    self.net.remove(id);
-                    self.recorder.record(
-                        self.now,
-                        SimEvent::FaultCleared {
-                            kind: FaultKind::Partition,
-                        },
-                    );
-                }
-            }
-            EventKind::LinkFaultStart { handle, fault } => {
-                let id = self.net.install_link_fault(fault);
-                self.link_fault_handles.insert(handle, id);
-                self.recorder.record(
-                    self.now,
-                    SimEvent::FaultActivated {
-                        kind: FaultKind::LinkFault,
-                    },
-                );
-            }
-            EventKind::LinkFaultEnd { handle } => {
-                if let Some(id) = self.link_fault_handles.remove(&handle) {
-                    self.net.remove_link_fault(id);
-                    self.recorder.record(
-                        self.now,
-                        SimEvent::FaultCleared {
-                            kind: FaultKind::LinkFault,
-                        },
-                    );
+            EventKind::RuleEnd { handle } => {
+                if let Some(cause) = self.net.lift_rules(handle) {
+                    let kind = rule_kind(cause);
+                    self.recorder
+                        .record(self.now, SimEvent::FaultCleared { kind });
                 }
             }
             EventKind::SetSlowdown { node, extra } => {
@@ -663,10 +611,23 @@ impl<P: Protocol> Simulation<P> {
         effects
     }
 
+    /// Releases the arena reference of a packet the network drops, and
+    /// books the drop under `cause`.
+    fn drop_message(&mut self, from: NodeId, to: NodeId, msg: MsgRef, cause: DropCause) {
+        self.msgs.release(msg);
+        *match cause {
+            DropCause::Partition => &mut self.stats.messages_dropped_partition,
+            DropCause::LinkFault => &mut self.stats.messages_dropped_link,
+            DropCause::DeadNode => &mut self.stats.messages_dropped_dead,
+        } += 1;
+        self.recorder
+            .record(self.now, SimEvent::MessageDropped { from, to, cause });
+    }
+
     /// Schedules one delivery of the arena payload `msg` from `from` to
-    /// `to`: counters, partition/link-fault verdicts, latency sampling
-    /// and FIFO clamping — in exactly the per-send order of the seed
-    /// kernel, so RNG draws and event sequence numbers are unchanged.
+    /// `to`: counters, the rule table's verdict, latency sampling and
+    /// FIFO clamping — in exactly the per-send order of the seed kernel,
+    /// so RNG draws and event sequence numbers are unchanged.
     ///
     /// The caller has already retained one arena reference for this
     /// recipient ([`MsgArena::retain_n`]); a send-time drop releases it.
@@ -674,46 +635,9 @@ impl<P: Protocol> Simulation<P> {
         self.stats.messages_sent += 1;
         self.recorder
             .record(self.now, SimEvent::MessageSent { from, to });
-        // On the quiet fast path (no partition rules, no link faults)
-        // the blocked check is vacuously false and the verdict is the
-        // default, so both are skipped without touching the RNG —
-        // `link_verdict` draws only for matching probabilistic rules,
-        // which cannot exist while the network is quiet.
-        let verdict = if self.net.quiet() {
-            crate::LinkVerdict::default()
-        } else {
-            if self.net.blocked(from, to) {
-                self.msgs.release(msg);
-                self.net.note_partition_drop();
-                self.stats.messages_dropped_partition += 1;
-                self.recorder.record(
-                    self.now,
-                    SimEvent::MessageDropped {
-                        from,
-                        to,
-                        cause: DropCause::Partition,
-                    },
-                );
-                return;
-            }
-            if self.net.active_link_faults() > 0 {
-                self.net.link_verdict(from, to, &mut self.net_rng)
-            } else {
-                crate::LinkVerdict::default()
-            }
-        };
-        if verdict.drop {
-            self.msgs.release(msg);
-            self.stats.messages_dropped_link += 1;
-            self.recorder.record(
-                self.now,
-                SimEvent::MessageDropped {
-                    from,
-                    to,
-                    cause: DropCause::LinkFault,
-                },
-            );
-            return;
+        let verdict = self.net.verdict(from, to, &mut self.net_rng);
+        if let Some(cause) = verdict.drop {
+            return self.drop_message(from, to, msg, cause);
         }
         let delay = self.net.sample_delay(from, to, &mut self.net_rng) + self.net.slowdown(from);
         let mut deliver_at = self.now + delay;
@@ -916,6 +840,14 @@ impl<P: Protocol> std::fmt::Debug for Simulation<P> {
             .field("commits", &self.commits.len())
             .field("panics", &self.panics.len())
             .finish()
+    }
+}
+
+/// The fault kind a rule installed with drop cause `cause` reports.
+fn rule_kind(cause: DropCause) -> FaultKind {
+    match cause {
+        DropCause::Partition => FaultKind::Partition,
+        DropCause::LinkFault | DropCause::DeadNode => FaultKind::LinkFault,
     }
 }
 

@@ -416,7 +416,7 @@ impl Protocol for SolanaNode {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use stabl_sim::{NodeStatus, PartitionRule, SimDuration, Simulation};
+    use stabl_sim::{NodeStatus, SimDuration, Simulation};
     use stabl_types::AccountId;
     use std::collections::HashSet as Set;
 
@@ -570,11 +570,7 @@ mod tests {
         let mut s = sim(10, 6);
         submit_stream(&mut s, 10, 100, 1, 300);
         let isolated: Vec<NodeId> = (5..9u32).map(NodeId::new).collect();
-        s.schedule_partition(
-            SimTime::from_secs(150),
-            SimTime::from_secs(250),
-            PartitionRule::isolate(isolated, 10),
-        );
+        s.schedule_partition(SimTime::from_secs(150), SimTime::from_secs(250), isolated);
         s.run_until(SimTime::from_secs(360));
         let panicked = (0..10u32)
             .filter(|i| s.status(NodeId::new(*i)) == NodeStatus::Panicked)
