@@ -343,13 +343,14 @@ pub fn metrics_comparison(opts: &BenchOpts) {
 }
 
 /// `dbg_scenario <chain> <scenario>` — run one (chain, scenario) pair
-/// and print latency statistics plus the throughput timeline; the
-/// calibration workhorse behind the figures.
+/// and print its sensitivity report, latency statistics and the
+/// throughput timeline; the calibration workhorse behind the figures.
 pub fn dbg_scenario(opts: &BenchOpts) {
     let (chain, kind) = opts.scenario.expect("dispatch requires the two operands");
     let groups = opts
         .engine()
         .run_groups(vec![Group::scenario(&opts.setup, chain, kind)]);
+    println!("{}", groups[0].report(chain, kind));
     let (base, result) = groups[0].as_pair();
     if let (Ok(b), Ok(a)) = (base.ecdf(), result.ecdf()) {
         println!(

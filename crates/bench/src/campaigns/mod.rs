@@ -185,10 +185,8 @@ pub const REGISTRY: &[Campaign] = &[
         about: "blame tables and liveness post-mortems for 4 scenarios + the corpus cell",
         artifacts: &[
             "diagnose/{chain}_{scenario}.json",
-            "diagnose/{chain}_{scenario}.html",
             "diagnose/{chain}_{scenario}_timeline.jsonl",
             "diagnose/{chain}_adversary.json",
-            "diagnose/{chain}_adversary.html",
             "diagnose/{chain}_adversary_timeline.jsonl",
             "diagnose/diagnose_summary.json",
         ],
@@ -210,7 +208,7 @@ pub const REGISTRY: &[Campaign] = &[
     Campaign {
         name: "dbg_scenario",
         about:
-            "`dbg_scenario <chain> <scenario>`: one pair's latency stats and throughput timeline",
+            "`dbg_scenario <chain> <scenario>`: one pair's sensitivity, latency stats and throughput timeline",
         artifacts: &[],
         committed_with: None,
         run: figures::dbg_scenario,

@@ -8,7 +8,7 @@
 
 use std::fs;
 
-use stabl::diagnose::{diagnose_run, diagnosis_json, html_report, timeline_jsonl, DEFAULT_CADENCE};
+use stabl::diagnose::{diagnose_run, diagnosis_json, timeline_jsonl, DEFAULT_CADENCE};
 use stabl::metrics::LatencyHistogram;
 use stabl::{CaptureLevel, Chain, PaperSetup, RunConfig, ScenarioKind, TracedRun};
 use stabl_adversary::CorpusEntry;
@@ -169,8 +169,6 @@ fn corpus_cell(opts: &BenchOpts, chain: Chain) -> Option<Cell> {
 /// * `<chain>_<scenario>.json` — the full [`Diagnosis`]: metrics
 ///   timeline, latency blame table and (for stalled runs) the liveness
 ///   post-mortem with its verdict;
-/// * `<chain>_<scenario>.html` — a self-contained timeline report with
-///   per-gauge sparklines, fault-window shading and the blame table;
 /// * `<chain>_<scenario>_timeline.jsonl` — the metric frames, one JSON
 ///   object per line;
 /// * `diagnose_summary.json` — one row per run: commit counts, the
@@ -199,10 +197,6 @@ pub fn diagnose(opts: &BenchOpts) {
             opts.write_text(
                 &format!("diagnose/{}.json", cell.file_stem),
                 &diagnosis_json(diagnosis),
-            );
-            opts.write_text(
-                &format!("diagnose/{}.html", cell.file_stem),
-                &html_report(&run),
             );
             opts.write_text(
                 &format!("diagnose/{}_timeline.jsonl", cell.file_stem),

@@ -24,6 +24,9 @@
 //! * `--quick <secs>` — scale the 400 s campaign down (useful: 100–150;
 //!   at least 2);
 //! * `--seed <u64>` — change the master seed;
+//! * `--nodes <n>` — validators per run (default 10, at least 10: five
+//!   client-facing plus five faultable); campaigns that sweep `n`
+//!   themselves (`ext_scale_sweep`) keep their own sizes;
 //! * `--out <dir>` — where JSON/CSV artefacts go (default `results/`);
 //! * `--jobs <n>` — worker threads for the campaign [`engine`] (default:
 //!   all hardware threads);
@@ -88,8 +91,8 @@ pub struct BenchOpts {
 }
 
 /// The flags [`BenchOpts::parse`] knows, for its error messages.
-const KNOWN_FLAGS: &str = "--quick --seed --out --jobs --no-cache --replicates --budget \
-                           --strategy --objective --chain";
+const KNOWN_FLAGS: &str = "--quick --seed --nodes --out --jobs --no-cache --replicates \
+                           --budget --strategy --objective --chain";
 
 /// The shortest `--quick` horizon whose runs submit any transaction:
 /// below it `PaperSetup::quick` leaves an empty submission window.
@@ -133,6 +136,7 @@ impl BenchOpts {
         let mut operands = Vec::new();
         let mut quick: Option<u64> = None;
         let mut seed: Option<u64> = None;
+        let mut nodes: Option<usize> = None;
         let mut args = args.into_iter();
         while let Some(arg) = args.next() {
             let mut value = |what: &str| {
@@ -142,6 +146,10 @@ impl BenchOpts {
             match arg.as_str() {
                 "--quick" => quick = Some(parsed(&arg, "seconds", &value("seconds")?)?),
                 "--seed" => seed = Some(parsed(&arg, "a u64", &value("a u64")?)?),
+                "--nodes" => {
+                    let what = "a validator count of at least 10";
+                    nodes = Some(count(&arg, what, &value(what)?, 10)?);
+                }
                 "--out" => opts.out_dir = PathBuf::from(value("a directory")?),
                 "--jobs" => {
                     let what = "a positive thread count";
@@ -185,6 +193,9 @@ impl BenchOpts {
         } else if let Some(seed) = seed {
             opts.setup.seed = seed;
         }
+        if let Some(n) = nodes {
+            opts.setup.n = n;
+        }
         opts.scenario = match &operands[..] {
             [] => None,
             [chain, scenario] => Some((chain.parse()?, scenario.parse()?)),
@@ -215,7 +226,7 @@ impl BenchOpts {
         self.write_text(name, &json);
     }
 
-    /// Writes raw text (CSV, HTML, JSON Lines) under the output
+    /// Writes raw text (CSV, JSON Lines) under the output
     /// directory, creating the sub-directories `name` goes through.
     ///
     /// # Panics
@@ -300,6 +311,7 @@ mod tests {
         let paper = PaperSetup::default();
         assert_eq!(opts.setup.horizon, paper.horizon);
         assert_eq!(opts.setup.seed, paper.seed);
+        assert_eq!(opts.setup.n, paper.n);
         assert_eq!(opts.out_dir, PathBuf::from("results"));
         assert_eq!(opts.jobs, Engine::default_workers());
         assert!(!opts.no_cache);
@@ -317,14 +329,16 @@ mod tests {
     #[test]
     fn every_flag_lands_in_its_field() {
         let opts = parse(
-            "--quick 60 --seed 42 --out elsewhere --jobs 3 --no-cache --replicates 4 --budget 25 \
-             --strategy mu-lambda --objective liveness-loss --chain redbelly --chain Solana",
+            "--nodes 16 --quick 60 --seed 42 --out elsewhere --jobs 3 --no-cache --replicates 4 \
+             --budget 25 --strategy mu-lambda --objective liveness-loss --chain redbelly \
+             --chain Solana",
         )
         .expect("well-formed flags");
         let quick = PaperSetup::quick(60, 42);
         assert_eq!(opts.setup.horizon, quick.horizon);
         assert_eq!(opts.setup.fault_at, quick.fault_at);
         assert_eq!(opts.setup.seed, 42);
+        assert_eq!(opts.setup.n, 16);
         assert_eq!(opts.out_dir, PathBuf::from("elsewhere"));
         assert_eq!(opts.jobs, 3);
         assert!(opts.no_cache && opts.engine().cache_dir().is_none());
@@ -345,9 +359,10 @@ mod tests {
     #[test]
     fn a_repeated_flag_takes_its_last_value() {
         // `stabl-bench all` relies on this: user flags follow the row's.
-        let opts = parse("--quick 60 --seed 42 --quick 8").expect("flags");
+        let opts = parse("--nodes 12 --quick 60 --seed 42 --quick 8 --nodes 16").expect("flags");
         assert_eq!(opts.setup.horizon, PaperSetup::quick(8, 42).horizon);
         assert_eq!(opts.setup.seed, 42);
+        assert_eq!(opts.setup.n, 16, "--nodes survives the --quick rebuild");
     }
 
     #[test]
@@ -371,11 +386,22 @@ mod tests {
             ("--quick 0", "--quick takes at least 2 seconds, got 0"),
             ("--quick 1", "--quick takes at least 2 seconds, got 1"),
             ("--seed -1", "--seed takes a u64"),
+            (
+                "--nodes 3",
+                "--nodes takes a validator count of at least 10, got 3",
+            ),
+            (
+                "--nodes",
+                "--nodes takes a validator count of at least 10, got nothing",
+            ),
             ("--out", "--out takes a directory"),
             ("--strategy hill-climb", "known: annealing mu-lambda"),
             ("--objective chaos", "known: sensitivity liveness-loss"),
             ("--chain bitcoin", "known: Algorand Aptos"),
-            ("--reps 3", "unknown argument --reps; known: --quick --seed"),
+            (
+                "--reps 3",
+                "unknown argument --reps; known: --quick --seed --nodes",
+            ),
             ("redbelly", "expected <chain> <scenario>"),
             ("redbelly crash again", "expected <chain> <scenario>"),
             ("bitcoin crash", "unknown chain bitcoin"),

@@ -1,6 +1,7 @@
-//! `stabl-bench all`, end to end through the binary: every campaign
-//! with a committed artifact, scaled down, twice — serial and parallel —
-//! into two directories that must hold the same bytes.
+//! `stabl-bench`, end to end through the binary: `all` runs every
+//! campaign with a committed artifact, scaled down, twice — serial and
+//! parallel — into two directories that must hold the same bytes; and
+//! `dbg_scenario` scores one pair deterministically.
 
 mod common;
 
@@ -66,4 +67,30 @@ fn all_writes_every_claimed_artifact_identically_for_any_jobs() {
         .collect();
     claimed.sort();
     assert_eq!(claimed, serial);
+}
+
+/// `dbg_scenario <args> --quick 40 --no-cache`'s stdout.
+fn dbg_scenario(args: &[&str]) -> String {
+    let output = Command::new(env!("CARGO_BIN_EXE_stabl-bench"))
+        .arg("dbg_scenario")
+        .args(args)
+        .args(["--quick", "40", "--no-cache"])
+        .output()
+        .expect("stabl-bench runs");
+    assert!(
+        output.status.success(),
+        "dbg_scenario {args:?} failed:\n{}",
+        String::from_utf8_lossy(&output.stderr)
+    );
+    String::from_utf8(output.stdout).expect("utf-8 stdout")
+}
+
+#[test]
+fn dbg_scenario_prints_a_deterministic_sensitivity_report() {
+    let stdout = dbg_scenario(&["redbelly", "crash", "--seed", "7"]);
+    assert!(stdout.contains("Redbelly"), "{stdout}");
+    assert!(stdout.contains("sensitivity"), "{stdout}");
+
+    let solana = ["solana", "crash", "--seed", "3"];
+    assert_eq!(dbg_scenario(&solana), dbg_scenario(&solana));
 }

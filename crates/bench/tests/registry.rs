@@ -78,6 +78,28 @@ fn throughput_figures_reject_a_horizon_their_report_cannot_fit() {
 }
 
 #[test]
+fn missing_or_misplaced_operands_are_usage_errors() {
+    for (args, needle) in [
+        (
+            &[][..],
+            "usage: stabl-bench list | all [flags] | <campaign> [flags]",
+        ),
+        (
+            &["dbg_scenario", "--quick", "20"][..],
+            "usage: stabl-bench dbg_scenario <chain> <scenario>",
+        ),
+        (
+            &["fig3_sensitivity", "redbelly", "crash"][..],
+            "fig3_sensitivity takes flags only",
+        ),
+    ] {
+        let args = args.iter().map(|&arg| arg.to_owned()).collect();
+        let err = campaigns::dispatch(args).expect_err("nothing to run");
+        assert!(err.contains(needle), "{err}");
+    }
+}
+
+#[test]
 fn every_committed_artifact_is_claimed_by_exactly_one_campaign() {
     let mut claims: BTreeMap<String, Vec<&str>> = BTreeMap::new();
     for campaign in REGISTRY {

@@ -32,7 +32,7 @@ use std::collections::BTreeMap;
 use stabl_sim::{ByzantineSpec, SimDuration, SimEvent};
 use stabl_stats::QuantileSketch;
 
-use crate::faults::{FaultAction, FaultSchedule};
+use crate::faults::FaultAction;
 use crate::harness::{RunConfig, RunResult, RunTrace};
 
 /// Default sampling cadence of the metrics timeline (one frame per
@@ -131,26 +131,6 @@ impl FrameCounts {
         self.panics += other.panics;
         self.phase_marks += other.phase_marks;
         self.gauge_samples += other.gauge_samples;
-    }
-
-    /// Total events counted in this frame.
-    pub fn total(&self) -> u64 {
-        self.sent
-            + self.delivered
-            + self.dropped
-            + self.timers_fired
-            + self.timers_stale
-            + self.requests_delivered
-            + self.requests_dropped
-            + self.submits
-            + self.retries
-            + self.give_ups
-            + self.commits
-            + self.crashes
-            + self.restarts
-            + self.panics
-            + self.phase_marks
-            + self.gauge_samples
     }
 }
 
@@ -967,287 +947,10 @@ pub fn diagnosis_json(diagnosis: &Diagnosis) -> String {
     out
 }
 
-// ---------------------------------------------------------------------
-// HTML timeline report
-// ---------------------------------------------------------------------
-
-const SVG_W: f64 = 860.0;
-const SVG_H: f64 = 72.0;
-
-fn esc(s: &str) -> String {
-    s.replace('&', "&amp;")
-        .replace('<', "&lt;")
-        .replace('>', "&gt;")
-}
-
-/// One `<svg>` sparkline of a metric across the timeline: per frame the
-/// maximum sample over all nodes, with fault windows shaded behind it.
-fn sparkline(timeline: &MetricsTimeline, metric: &str, faults: &[FaultDescription]) -> String {
-    let horizon = timeline.horizon_us.max(1) as f64;
-    let x_of = |t_us: u64| (t_us as f64 / horizon * SVG_W).min(SVG_W);
-
-    let mut points: Vec<(u64, u64)> = Vec::new(); // (mid_us, value)
-    let mut peak = 0u64;
-    for frame in &timeline.frames {
-        let frame_max = frame
-            .gauges
-            .iter()
-            .filter(|g| g.metric == metric)
-            .map(|g| g.values.max_micros)
-            .max();
-        if let Some(v) = frame_max {
-            points.push(((frame.start_us + frame.end_us) / 2, v));
-            peak = peak.max(v);
-        }
-    }
-    let y_of = |v: u64| {
-        let scale = peak.max(1) as f64;
-        SVG_H - 4.0 - (v as f64 / scale) * (SVG_H - 12.0)
-    };
-
-    let mut svg = format!(
-        "<svg viewBox=\"0 0 {SVG_W} {SVG_H}\" width=\"{SVG_W}\" height=\"{SVG_H}\" \
-         role=\"img\" aria-label=\"{}\">\n",
-        esc(metric)
-    );
-    for fault in faults {
-        let x0 = x_of(fault.at_us);
-        let x1 = x_of(fault.until_us.unwrap_or(timeline.horizon_us));
-        svg.push_str(&format!(
-            "  <rect x=\"{x0:.1}\" y=\"0\" width=\"{:.1}\" height=\"{SVG_H}\" \
-             class=\"fault fault-{}\"><title>{}</title></rect>\n",
-            (x1 - x0).max(1.0),
-            esc(&fault.kind),
-            esc(&fault.label()),
-        ));
-    }
-    if points.is_empty() {
-        svg.push_str(&format!(
-            "  <text x=\"8\" y=\"{:.1}\" class=\"empty\">no samples</text>\n",
-            SVG_H / 2.0
-        ));
-    } else {
-        let path: Vec<String> = points
-            .iter()
-            .map(|&(t, v)| format!("{:.1},{:.1}", x_of(t), y_of(v)))
-            .collect();
-        svg.push_str(&format!(
-            "  <polyline fill=\"none\" class=\"series\" points=\"{}\"/>\n",
-            path.join(" ")
-        ));
-    }
-    svg.push_str(&format!(
-        "  <text x=\"{:.1}\" y=\"12\" text-anchor=\"end\" class=\"peak\">peak {peak}</text>\n",
-        SVG_W - 4.0
-    ));
-    svg.push_str("</svg>\n");
-    svg
-}
-
-/// Renders the diagnosis as a self-contained HTML page: one sparkline
-/// per gauge metric (fault windows shaded), the frame-level commit /
-/// retry counts, the blame table and — for stalled runs — the
-/// post-mortem verdict. No external assets, deterministic bytes.
-pub fn html_report(run: &DiagnosedRun) -> String {
-    let diagnosis = &run.diagnosis;
-    let mut metrics: Vec<&str> = Vec::new();
-    for frame in &run.timeline.frames {
-        for gauge in &frame.gauges {
-            if !metrics.contains(&gauge.metric.as_str()) {
-                metrics.push(&gauge.metric);
-            }
-        }
-    }
-    metrics.sort_unstable();
-
-    let mut html = String::new();
-    html.push_str("<!DOCTYPE html>\n<html lang=\"en\">\n<head>\n<meta charset=\"utf-8\">\n");
-    html.push_str(&format!(
-        "<title>stabl diagnosis — {}</title>\n",
-        esc(&diagnosis.label)
-    ));
-    html.push_str(
-        "<style>\n\
-         body{font-family:system-ui,sans-serif;margin:2rem;max-width:60rem}\n\
-         h1{font-size:1.4rem} h2{font-size:1.1rem;margin-top:2rem}\n\
-         table{border-collapse:collapse;font-size:0.9rem}\n\
-         td,th{border:1px solid #ccc;padding:0.25rem 0.6rem;text-align:left}\n\
-         .series{stroke:#1f77b4;stroke-width:1.5}\n\
-         .fault{opacity:0.18} .fault-crash{fill:#d62728} .fault-transient{fill:#ff7f0e}\n\
-         .fault-partition{fill:#9467bd} .fault-slowdown{fill:#bcbd22}\n\
-         .fault-link_degrade{fill:#8c564b}\n\
-         .peak,.empty{font-size:10px;fill:#666}\n\
-         .verdict{background:#fff3cd;border:1px solid #ffe69c;padding:0.8rem}\n\
-         .warn{color:#b02a37;font-weight:600}\n\
-         svg{display:block;background:#fafafa;border:1px solid #eee;margin:0.3rem 0 1rem}\n\
-         </style>\n</head>\n<body>\n",
-    );
-    html.push_str(&format!(
-        "<h1>stabl diagnosis — {}</h1>\n",
-        esc(&diagnosis.label)
-    ));
-    html.push_str(&format!(
-        "<p>{} nodes, horizon {:.1}s, capture <code>{}</code>: {} / {} submitted transactions \
-         committed{}.</p>\n",
-        diagnosis.n,
-        diagnosis.horizon_us as f64 / 1e6,
-        esc(&diagnosis.capture),
-        diagnosis.committed,
-        diagnosis.submitted,
-        if diagnosis.lost_liveness {
-            ", <strong class=\"warn\">liveness lost</strong>"
-        } else {
-            ""
-        },
-    ));
-    if diagnosis.dropped_events > 0 {
-        html.push_str(&format!(
-            "<p class=\"warn\">warning: {} events were evicted from the recorder ring — the \
-             earliest frames under-count.</p>\n",
-            diagnosis.dropped_events
-        ));
-    }
-    let contention = diagnosis.speculative_reexecutions
-        + diagnosis.conflict_aborts
-        + diagnosis.pool_evictions
-        + diagnosis.pool_replacements;
-    if contention > 0 {
-        html.push_str(&format!(
-            "<h2>Contention</h2>\n<table>\n\
-             <tr><th>counter</th><th>count</th></tr>\n\
-             <tr><td>speculative re-executions</td><td>{}</td></tr>\n\
-             <tr><td>conflict aborts</td><td>{}</td></tr>\n\
-             <tr><td>pool evictions (full)</td><td>{}</td></tr>\n\
-             <tr><td>pool replacements (nonce-slot conflicts)</td><td>{}</td></tr>\n\
-             </table>\n",
-            diagnosis.speculative_reexecutions,
-            diagnosis.conflict_aborts,
-            diagnosis.pool_evictions,
-            diagnosis.pool_replacements,
-        ));
-    }
-
-    if let Some(post_mortem) = &diagnosis.post_mortem {
-        html.push_str("<h2>Liveness post-mortem</h2>\n");
-        html.push_str(&format!(
-            "<p class=\"verdict\">{}</p>\n",
-            esc(&post_mortem.verdict)
-        ));
-        if !post_mortem.stalled_phases.is_empty() {
-            html.push_str(
-                "<table>\n<tr><th>node</th><th>last phase entered</th><th>at</th></tr>\n",
-            );
-            for phase in &post_mortem.stalled_phases {
-                html.push_str(&format!(
-                    "<tr><td>{}</td><td><code>{}</code></td><td>{:.3}s</td></tr>\n",
-                    phase.node,
-                    esc(&phase.phase),
-                    phase.entered_us as f64 / 1e6
-                ));
-            }
-            html.push_str("</table>\n");
-        }
-    }
-
-    if let Some(blame) = &diagnosis.blame {
-        html.push_str("<h2>Latency blame</h2>\n");
-        html.push_str(&format!(
-            "<p>{} commits; stage means: queueing {:.3}s, consensus {:.3}s, delivery \
-             {:.3}s.</p>\n",
-            blame.commits,
-            blame.stages.queueing_mean_secs,
-            blame.stages.consensus_mean_secs,
-            blame.stages.delivery_mean_secs,
-        ));
-        html.push_str(
-            "<table>\n<tr><th>cause</th><th>commits</th><th>p50</th><th>p99</th>\
-             <th>max</th></tr>\n",
-        );
-        for cause in &blame.causes {
-            html.push_str(&format!(
-                "<tr><td>{}</td><td>{}</td><td>{:.3}s</td><td>{:.3}s</td><td>{:.3}s</td></tr>\n",
-                esc(&cause.cause),
-                cause.commits,
-                cause.latency.quantile(0.5).unwrap_or(0.0),
-                cause.latency.quantile(0.99).unwrap_or(0.0),
-                cause.latency.max_secs().unwrap_or(0.0),
-            ));
-        }
-        html.push_str("</table>\n");
-        if !blame.slowest.is_empty() {
-            html.push_str("<h2>Slowest transactions</h2>\n");
-            html.push_str(
-                "<table>\n<tr><th>#</th><th>submitted</th><th>committed</th>\
-                 <th>latency</th><th>causes</th></tr>\n",
-            );
-            for tx in &blame.slowest {
-                html.push_str(&format!(
-                    "<tr><td>{}</td><td>{:.3}s</td><td>{:.3}s</td><td>{:.3}s</td>\
-                     <td>{}</td></tr>\n",
-                    tx.index,
-                    tx.submit_us as f64 / 1e6,
-                    tx.commit_us as f64 / 1e6,
-                    tx.latency_secs,
-                    esc(&tx.causes.join("; ")),
-                ));
-            }
-            html.push_str("</table>\n");
-        }
-    }
-
-    html.push_str("<h2>Gauge timelines</h2>\n");
-    if metrics.is_empty() {
-        html.push_str(
-            "<p>No gauge samples were recorded (capture below <code>events</code>, \
-                       or the protocol emits none).</p>\n",
-        );
-    }
-    for metric in metrics {
-        html.push_str(&format!("<h3><code>{}</code></h3>\n", esc(metric)));
-        html.push_str(&sparkline(&run.timeline, metric, &diagnosis.faults));
-    }
-
-    // Commit / retry activity per frame as a final sparkline-style table.
-    html.push_str("<h2>Frame activity</h2>\n");
-    html.push_str(
-        "<table>\n<tr><th>frame</th><th>commits</th><th>submits</th><th>retries</th>\
-         <th>give-ups</th><th>crashes</th><th>restarts</th></tr>\n",
-    );
-    for frame in &run.timeline.frames {
-        if frame.counts.total() == 0 {
-            continue;
-        }
-        html.push_str(&format!(
-            "<tr><td>{:.1}s–{:.1}s</td><td>{}</td><td>{}</td><td>{}</td><td>{}</td>\
-             <td>{}</td><td>{}</td></tr>\n",
-            frame.start_us as f64 / 1e6,
-            frame.end_us as f64 / 1e6,
-            frame.counts.commits,
-            frame.counts.submits,
-            frame.counts.retries,
-            frame.counts.give_ups,
-            frame.counts.crashes,
-            frame.counts.restarts,
-        ));
-    }
-    html.push_str("</table>\n</body>\n</html>\n");
-    html
-}
-
-/// Convenience: diagnose a schedule of `FaultSchedule` description
-/// labels without running anything (used by reports that only have the
-/// config).
-pub fn describe_schedule(schedule: &FaultSchedule) -> Vec<String> {
-    schedule
-        .actions()
-        .iter()
-        .map(|a| FaultDescription::from_action(a).label())
-        .collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::faults::FaultSchedule;
     use crate::harness::RunTrace;
     use stabl_sim::{CaptureLevel, EventCounters, NodeId, SimTime, TimedEvent};
 
@@ -1505,11 +1208,6 @@ mod tests {
             diagnosis_json(&run.diagnosis),
             diagnosis_json(&run.diagnosis)
         );
-        let html = html_report(&run);
-        assert_eq!(html, html_report(&run));
-        assert!(html.contains("<svg"), "gauge sparkline rendered");
-        assert!(html.contains("fault-transient"), "fault window shaded");
-        assert!(html.contains("liveness lost"));
         let jsonl = timeline_jsonl(&run.timeline);
         assert_eq!(jsonl.lines().count(), run.timeline.frames.len());
     }

@@ -163,7 +163,7 @@ pub fn chrome_trace_json(trace: &RunTrace, label: &str) -> String {
             }
             // Spans were rendered above; hops, logs and gauge samples
             // stay in JSONL (gauges get their own timeline in the
-            // diagnose HTML report).
+            // diagnosis's `_timeline.jsonl`).
             SimEvent::Phase { .. }
             | SimEvent::MessageSent { .. }
             | SimEvent::MessageDelivered { .. }

@@ -19,6 +19,7 @@ fn workspace_lints_clean() {
     );
 }
 
-/// `.rs` files under `stabl_lint::SCOPE` when this floor was set; a
-/// scan that finds fewer has lost part of the workspace.
-const FILES_IN_SCOPE: usize = 81;
+/// `.rs` files under `stabl_lint::SCOPE` when this floor was set (81
+/// until `crates/core/src/bin/stabl.rs` was deleted); a scan that finds
+/// fewer has lost part of the workspace.
+const FILES_IN_SCOPE: usize = 80;

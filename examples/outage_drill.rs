@@ -14,14 +14,11 @@
 use stabl_suite::stabl::{Chain, PaperSetup, ScenarioKind};
 
 fn main() {
-    let chain = match std::env::args().nth(1).as_deref() {
-        None | Some("redbelly") => Chain::Redbelly,
-        Some("algorand") => Chain::Algorand,
-        Some("aptos") => Chain::Aptos,
-        Some("avalanche") => Chain::Avalanche,
-        Some("solana") => Chain::Solana,
-        Some(other) => {
-            eprintln!("unknown chain {other}");
+    let chain = match std::env::args().nth(1).map(|name| name.parse::<Chain>()) {
+        None => Chain::Redbelly,
+        Some(Ok(chain)) => chain,
+        Some(Err(message)) => {
+            eprintln!("{message}");
             std::process::exit(2);
         }
     };
