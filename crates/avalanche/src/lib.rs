@@ -25,6 +25,7 @@
 
 mod config;
 mod node;
+mod pending;
 mod snowball;
 mod throttle;
 

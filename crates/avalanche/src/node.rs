@@ -6,6 +6,7 @@ use std::collections::{BTreeMap, VecDeque};
 use stabl_sim::{ContentionStats, Ctx, NodeId, Protocol, SimTime};
 use stabl_types::{AccountPool, Block, Hash32, Ledger, Transaction, TxId};
 
+use crate::pending::PendingTxs;
 use crate::throttle::Admission;
 use crate::{AvalancheConfig, InboundThrottler, Snowball};
 
@@ -111,7 +112,7 @@ pub struct AvalancheNode {
     pending_decided: Option<Hash32>,
     // Transaction gossip.
     pool: AccountPool,
-    pending: BTreeMap<TxId, (Transaction, SimTime)>,
+    pending: PendingTxs,
     announce_queue: Vec<Transaction>,
     // Throttling.
     throttler: InboundThrottler,
@@ -188,20 +189,22 @@ impl AvalancheNode {
         }
     }
 
+    /// `count` distinct peers drawn uniformly: indices into the `n − 1`
+    /// other nodes in id order, so index `i` is node `i`, or `i + 1` at
+    /// and above this node's own id.
     fn sample_peers(&self, ctx: &mut Ctx<'_, Self>, count: usize) -> Vec<NodeId> {
         let me = self.id.index();
-        let peers: Vec<NodeId> = NodeId::all(self.n).filter(|p| p.index() != me).collect();
-        let count = count.min(peers.len());
+        let peers = self.n - 1;
         ctx.rng()
-            .sample_indices(peers.len(), count)
+            .sample_indices(peers, count.min(peers))
             .into_iter()
-            .map(|i| peers[i])
+            .map(|i| NodeId::new((i + usize::from(i >= me)) as u32))
             .collect()
     }
 
     fn insert_pending(&mut self, tx: Transaction, now: SimTime, announce: bool) {
         if self.pool.insert(tx) {
-            self.pending.insert(tx.id(), (tx, now));
+            self.pending.insert(tx, now);
             if announce {
                 self.announce_queue.push(tx);
             }
@@ -323,7 +326,7 @@ impl AvalancheNode {
     }
 
     fn try_commit(&mut self, hash: Hash32, ctx: &mut Ctx<'_, Self>) {
-        let Some(block) = self.proposals.get(&hash).cloned() else {
+        let Some(block) = self.proposals.remove(&hash) else {
             return;
         };
         let height = self.current_height();
@@ -335,8 +338,8 @@ impl AvalancheNode {
                 ctx.commit(id);
             }
             self.pool.mark_committed(tx.from(), tx.nonce() + 1);
-            self.pending.remove(&tx.id());
         }
+        self.pending.commit(block.txs());
         self.chain.push(block);
         self.proposals.clear();
         self.snowball = Snowball::new(self.alpha_eff, self.config.beta);
@@ -435,22 +438,22 @@ impl AvalancheNode {
 
     fn handle_regossip_tick(&mut self, ctx: &mut Ctx<'_, Self>) {
         ctx.set_timer(self.config.regossip_interval, AvalancheTimer::RegossipTick);
-        let now = ctx.now();
         // Stale pending transactions, drawn in effectively random order
-        // (the unordered-map iteration the paper pins nonce delays on).
-        let mut stale_ids: Vec<TxId> = self
-            .pending
-            .iter()
-            .filter(|(_, (_, since))| now.saturating_since(*since) > self.config.stale_age)
-            .map(|(id, _)| *id)
-            .collect();
-        if stale_ids.is_empty() {
+        // (the unordered-map iteration the paper pins nonce delays on):
+        // a seeded shuffle of the id-sorted stale set. Shuffling
+        // positions draws exactly what shuffling the ids would.
+        let stale = self.pending.stale(ctx.now(), self.config.stale_age);
+        if stale.is_empty() {
             return;
         }
-        stale_ids.sort_unstable();
-        ctx.rng().shuffle(&mut stale_ids);
-        stale_ids.truncate(self.config.regossip_batch);
-        let txs: Vec<Transaction> = stale_ids.iter().map(|id| self.pending[id].0).collect();
+        let len = u32::try_from(stale.len()).expect("fewer than 2^32 stale transactions");
+        let mut order: Vec<u32> = (0..len).collect();
+        ctx.rng().shuffle(&mut order);
+        let txs: Vec<Transaction> = order
+            .iter()
+            .take(self.config.regossip_batch)
+            .map(|&i| stale[i as usize])
+            .collect();
         let peers = self.sample_peers(ctx, self.config.gossip_fanout);
         for peer in peers {
             ctx.send(peer, AvalancheMsg::RegossipTxs { txs: txs.clone() });
@@ -497,7 +500,7 @@ impl Protocol for AvalancheNode {
             proposed: None,
             pending_decided: None,
             pool: AccountPool::new(config.pool_capacity),
-            pending: BTreeMap::new(),
+            pending: PendingTxs::default(),
             announce_queue: Vec::new(),
             throttler: InboundThrottler::new(
                 config.cpu_half_life,
@@ -748,6 +751,59 @@ mod tests {
             (during as f64) < before as f64 * 0.4,
             "consensus should mostly stall during the partition: {during} vs {before}"
         );
+    }
+
+    #[test]
+    fn incremental_stale_set_matches_the_whole_map_scan() {
+        // Crashing t + 1 = 2 other nodes stalls the chain from 10 s to
+        // 30 s, and the tested node's backlog turns stale (after 5 s
+        // here) and is re-gossiped. The tested node crashes with that
+        // stale backlog and restarts empty; once the victims return, the
+        // backlog it gathered again commits, and two minutes of arrivals
+        // make it rebuild its arrival index.
+        let config = AvalancheConfig {
+            stale_age: SimDuration::from_secs(5),
+            ..AvalancheConfig::default()
+        };
+        let mut s = Simulation::<AvalancheNode>::new(10, 8, config);
+        submit_stream(&mut s, 10, 20, 1, 120);
+        for victim in [NodeId::new(7), NodeId::new(8)] {
+            s.schedule_crash(SimTime::from_secs(10), victim);
+            s.schedule_restart(SimTime::from_secs(30), victim);
+        }
+        let node = NodeId::new(5);
+        s.schedule_crash(SimTime::from_secs(20), node);
+        s.schedule_restart(SimTime::from_secs(23), node);
+        s.run_until(SimTime::from_secs(150));
+        // Every re-gossip tick of every node compared the incremental
+        // stale vector with the old scan (`PendingTxs::stale`); here,
+        // that the ticks covered what the test is about.
+        let checks = &s.node(node).pending.reference;
+        let commits_between = |from: u64, to: u64| {
+            s.commits()
+                .iter()
+                .filter(|c| c.node == node)
+                .filter(|c| c.time > SimTime::from_secs(from) && c.time < SimTime::from_secs(to))
+                .count()
+        };
+        // (ticks, ticks with a stale backlog, stale transactions
+        // committed, stale transactions the restart dropped, index
+        // rebuilds) were (146, 10, 329, 118, 2) when written.
+        assert!(checks.ticks > 100, "ticks checked: {}", checks.ticks);
+        assert!(
+            checks.stale_ticks > 5,
+            "stale ticks: {}",
+            checks.stale_ticks
+        );
+        assert!(checks.stale_commits > 0, "no stale transaction committed");
+        assert_eq!(checks.restarts, 1);
+        assert!(checks.reindexes > 0, "the arrival index was never rebuilt");
+        assert!(
+            checks.stale_restarted > 0,
+            "the restart dropped no stale backlog"
+        );
+        assert_eq!(commits_between(12, 30), 0, "the chain stalls");
+        assert!(commits_between(30, 150) > 0, "and recovers");
     }
 
     #[test]

@@ -180,7 +180,7 @@ pub fn credence(opts: &BenchOpts) {
                 ),
                 vec![
                     byzantine(ClientMode::Single, "single"),
-                    byzantine(ClientMode::paper_secure(), "wait-all"),
+                    byzantine(ClientMode::paper_secure(setup.n), "wait-all"),
                     byzantine(ClientMode::credence(3), "credence"),
                 ],
             )

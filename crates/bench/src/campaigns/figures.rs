@@ -3,7 +3,7 @@
 use serde::Serialize;
 use stabl::metrics::{downtime_seconds, throughput_drop, Ecdf, RecoveryReport, Sensitivity};
 use stabl::report::{RunSummary, ScenarioReport, SensitivityRecord};
-use stabl::{Chain, PaperSetup, ScenarioKind};
+use stabl::{Chain, ClientMode, PaperSetup, ScenarioKind};
 use stabl_sim::SimTime;
 
 use crate::{
@@ -90,6 +90,8 @@ pub fn fig3_sensitivity(opts: &BenchOpts) {
     eprintln!("Fig. 3: full sensitivity campaign ({})", opts.setup.horizon);
     let (reports, telemetry) = run_campaign(&opts.engine(), &opts.setup);
 
+    let secure = ClientMode::paper_secure(opts.setup.n).replication();
+    let secure_title = format!("Fig. 3d — secure client (t+1 = {secure} nodes)");
     for (kind, title) in [
         (ScenarioKind::Crash, "Fig. 3a — f = t crashes"),
         (
@@ -100,10 +102,7 @@ pub fn fig3_sensitivity(opts: &BenchOpts) {
             ScenarioKind::Partition,
             "Fig. 3c — partition of f = t+1 nodes",
         ),
-        (
-            ScenarioKind::SecureClient,
-            "Fig. 3d — secure client (t+1 = 4 nodes)",
-        ),
+        (ScenarioKind::SecureClient, secure_title.as_str()),
     ] {
         let part_reports: Vec<ScenarioReport> =
             reports.iter().filter(|r| r.kind == kind).cloned().collect();

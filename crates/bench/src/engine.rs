@@ -222,6 +222,11 @@ pub struct CellTelemetry {
     /// Time the cell occupied its worker, milliseconds (cache probes
     /// included).
     pub wall_ms: u64,
+    /// Simulation events the cell's run processed
+    /// (`RunResult.stats.events_processed`), read from the replayed
+    /// result on a cache hit: an executed cell costs `wall_ms` / `events`
+    /// per event.
+    pub events: u64,
 }
 
 /// Wall-clock telemetry for one whole [`Engine::run_with_telemetry`]
@@ -342,12 +347,13 @@ impl Engine {
         let mut cells = Vec::with_capacity(total);
         for (slot, job) in slots.into_iter().zip(&jobs) {
             let (result, cached, wall_ms) = slot.into_inner().expect("every cell completed");
-            results.push(result);
             cells.push(CellTelemetry {
                 label: job.label.clone(),
                 cached,
                 wall_ms,
+                events: result.stats.events_processed,
             });
+            results.push(result);
         }
         let wall_ms = started.elapsed().as_millis() as u64;
         let cache_hits = cells.iter().filter(|c| c.cached).count() as u64;

@@ -94,3 +94,27 @@ fn dbg_scenario_prints_a_deterministic_sensitivity_report() {
     let solana = ["solana", "crash", "--seed", "3"];
     assert_eq!(dbg_scenario(&solana), dbg_scenario(&solana));
 }
+
+#[test]
+fn fig3_titles_the_secure_client_by_the_network_size() {
+    // At n = 16 the BFT chains tolerate t = 5, so the secure client
+    // replicates to six nodes, one more than there are clients.
+    let out = std::env::temp_dir().join(format!("stabl-bench-n16-{}", std::process::id()));
+    let output = Command::new(env!("CARGO_BIN_EXE_stabl-bench"))
+        .args(["fig3_sensitivity", "--quick", "20", "--nodes", "16"])
+        .args(["--no-cache", "--out"])
+        .arg(&out)
+        .output()
+        .expect("stabl-bench runs");
+    let _ = fs::remove_dir_all(&out);
+    assert!(
+        output.status.success(),
+        "fig3_sensitivity --nodes 16 failed:\n{}",
+        String::from_utf8_lossy(&output.stderr)
+    );
+    let stdout = String::from_utf8(output.stdout).expect("utf-8 stdout");
+    assert!(
+        stdout.contains("Fig. 3d — secure client (t+1 = 6 nodes)"),
+        "{stdout}"
+    );
+}

@@ -103,6 +103,17 @@ fn warm_cache_replays_without_running() {
         assert_eq!(fresh.stats, cached.stats);
         assert_eq!(fresh.horizon, cached.horizon);
     }
+    // Each cell names its event count, cached or not.
+    for ((cold_cell, warm_cell), run) in cold_summary
+        .cells
+        .iter()
+        .zip(&warm_summary.cells)
+        .zip(&cold)
+    {
+        assert!(cold_cell.events > 0, "{}", cold_cell.label);
+        assert_eq!(cold_cell.events, run.stats.events_processed);
+        assert_eq!(warm_cell.events, cold_cell.events, "{}", warm_cell.label);
+    }
 }
 
 #[test]

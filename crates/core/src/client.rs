@@ -20,7 +20,8 @@ pub enum ClientMode {
     #[default]
     Single,
     /// Each client submits to — and awaits commits from — `replication`
-    /// distinct nodes (the paper uses 4 = max `t_B + 1` for n = 10).
+    /// distinct nodes (the paper uses `t_B + 1`, 4 at n = 10; see
+    /// [`ClientMode::paper_secure`]).
     Secure {
         /// Nodes per client.
         replication: usize,
@@ -39,9 +40,15 @@ pub enum ClientMode {
 }
 
 impl ClientMode {
-    /// The standard secure client of the paper's §7.
-    pub fn paper_secure() -> ClientMode {
-        ClientMode::Secure { replication: 4 }
+    /// The standard secure client of the paper's §7 in an `n`-node
+    /// network: `t_B + 1 = ⌈n/3⌉` replicas, where `t_B = ⌈n/3⌉ − 1` is
+    /// the largest Byzantine tolerance among the studied chains (the
+    /// BFT ones), so at least one replica is correct on every chain.
+    /// At the paper's n = 10 that is 4.
+    pub fn paper_secure(n: usize) -> ClientMode {
+        ClientMode::Secure {
+            replication: n.div_ceil(3),
+        }
     }
 
     /// A credence.js-style client for `t` Byzantine nodes with one spare
@@ -173,7 +180,7 @@ mod tests {
 
     #[test]
     fn secure_spreads_over_replicas() {
-        let mode = ClientMode::paper_secure();
+        let mode = ClientMode::paper_secure(10);
         assert_eq!(
             mode.nodes_for(0, 5),
             vec![
@@ -198,7 +205,7 @@ mod tests {
     fn secure_balances_load() {
         // With 5 clients over 5 front nodes at replication 4, every node
         // serves exactly 4 clients.
-        let mode = ClientMode::paper_secure();
+        let mode = ClientMode::paper_secure(10);
         let mut load = [0u32; 5];
         for client in 0..5 {
             for node in mode.nodes_for(client, 5) {
@@ -220,7 +227,11 @@ mod tests {
         assert_eq!(mode.replication(), 5);
         assert_eq!(mode.required_quorum(), 4);
         assert_eq!(ClientMode::Single.required_quorum(), 1);
-        assert_eq!(ClientMode::paper_secure().required_quorum(), 4, "wait-all");
+        assert_eq!(
+            ClientMode::paper_secure(10).required_quorum(),
+            4,
+            "wait-all"
+        );
     }
 
     #[test]

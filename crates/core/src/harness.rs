@@ -218,7 +218,14 @@ where
             FaultError::VictimOutOfRange { node, n }
         );
     }
-    let front_nodes = config.workload.clients.min(config.n);
+    // One client-facing validator per client, widened when a client
+    // needs more distinct replicas than there are clients (the secure
+    // client's t + 1 exceeds the paper's five clients from n = 16 on).
+    let front_nodes = config
+        .workload
+        .clients
+        .max(config.client_mode.replication())
+        .min(config.n);
     let mut builder = SimBuilder::new(config.n, config.seed);
     builder.latency(config.latency);
     builder.capture(capture);
@@ -444,7 +451,7 @@ mod tests {
     #[test]
     fn secure_mode_waits_for_all_replicas() {
         let mut config = RunConfig::quick(2);
-        config.client_mode = ClientMode::paper_secure();
+        config.client_mode = ClientMode::paper_secure(config.n);
         let result = run_protocol::<Instant>(&config, ());
         assert_eq!(result.unresolved, 0);
         // The slowest of 4 independent client links dominates: the mean
@@ -468,7 +475,7 @@ mod tests {
         assert!(single.unresolved > 0, "client 0 never hears back");
         // …and the paper's wait-for-all secure client makes it worse:
         // every client whose replica set contains the liar stalls.
-        config.client_mode = ClientMode::paper_secure();
+        config.client_mode = ClientMode::paper_secure(config.n);
         let wait_all = run_protocol::<Instant>(&config, ());
         assert!(
             wait_all.unresolved > single.unresolved,

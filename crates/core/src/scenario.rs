@@ -167,7 +167,7 @@ impl PaperSetup {
             }
         };
         let client_mode = match kind {
-            ScenarioKind::SecureClient => ClientMode::paper_secure(),
+            ScenarioKind::SecureClient => ClientMode::paper_secure(self.n),
             _ => ClientMode::Single,
         };
         RunConfig {
@@ -271,8 +271,27 @@ mod tests {
         let transient = setup.run_config(Chain::Redbelly, ScenarioKind::Transient);
         assert_eq!(transient.faults.victims().len(), 4, "f = t + 1");
         let secure = setup.run_config(Chain::Solana, ScenarioKind::SecureClient);
-        assert_eq!(secure.client_mode, ClientMode::paper_secure());
+        assert_eq!(secure.client_mode, ClientMode::Secure { replication: 4 });
         assert!(secure.faults.is_empty());
+    }
+
+    #[test]
+    fn secure_replication_is_t_plus_one_at_every_network_size() {
+        for n in [10, 16, 22, 40] {
+            let setup = PaperSetup {
+                n,
+                ..PaperSetup::default()
+            };
+            for chain in Chain::ALL {
+                let secure = setup.run_config(chain, ScenarioKind::SecureClient);
+                assert_eq!(
+                    secure.client_mode.replication(),
+                    Chain::Redbelly.tolerated_faults(n) + 1,
+                    "{} at n = {n}",
+                    chain.name()
+                );
+            }
+        }
     }
 
     #[test]

@@ -8,8 +8,7 @@
 //! only when an account's committed nonce advances, so a failed proposal
 //! needs no restore step.
 
-use std::collections::btree_map::Entry;
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, VecDeque};
 
 use stabl_sim::ContentionStats;
 
@@ -25,10 +24,11 @@ struct AccountState {
     /// the entry then mirrors durable chain state and outlives
     /// [`AccountPool::clear_pending`].
     durable: bool,
-    /// The nonce window: pending transactions by nonce. A transaction's
-    /// id is a function of its content, so "this id is pending" is
-    /// "the slot of its `(from, nonce)` holds this id" — no id index.
-    pending: BTreeMap<u64, Transaction>,
+    /// The nonce window: pending transactions in strictly increasing
+    /// nonce order. A transaction's id is a function of its content, so
+    /// "this id is pending" is "the slot of its `(from, nonce)` holds
+    /// this id" — no id index.
+    pending: VecDeque<Transaction>,
 }
 
 impl AccountState {
@@ -38,7 +38,29 @@ impl AccountState {
         self.pending
             .iter()
             .zip(self.committed_next..)
-            .map_while(|((nonce, tx), expected)| (*nonce == expected).then_some(tx))
+            .map_while(|(tx, expected)| (tx.nonce() == expected).then_some(tx))
+    }
+
+    /// Where `nonce` sits in the window: `Ok(i)` if `pending[i]` holds
+    /// it, `Err(i)` for the position that keeps the window sorted.
+    /// Appends and hits in a gap-free window cost O(1): the slot is
+    /// `nonce − front.nonce`. Otherwise a binary search decides.
+    fn slot(&self, nonce: u64) -> Result<usize, usize> {
+        let len = self.pending.len();
+        match (self.pending.front(), self.pending.back()) {
+            (Some(front), Some(back)) if back.nonce() >= nonce => {
+                let guess = nonce
+                    .checked_sub(front.nonce())
+                    .and_then(|d| usize::try_from(d).ok());
+                match guess {
+                    Some(i) if i < len && self.pending[i].nonce() == nonce => Ok(i),
+                    _ => self
+                        .pending
+                        .binary_search_by_key(&nonce, Transaction::nonce),
+                }
+            }
+            _ => Err(len),
+        }
     }
 }
 
@@ -117,7 +139,7 @@ impl AccountPool {
                 return false;
             }
             let state = self.accounts.entry(tx.from()).or_default();
-            state.pending.insert(tx.nonce(), tx);
+            state.pending.push_back(tx);
             self.len += 1;
             return true;
         };
@@ -125,8 +147,8 @@ impl AccountPool {
             self.rejected_stale += 1;
             return false;
         }
-        match state.pending.entry(tx.nonce()) {
-            Entry::Occupied(held) if held.get().id() == tx.id() => {
+        match state.slot(tx.nonce()) {
+            Ok(held) if state.pending[held].id() == tx.id() => {
                 self.rejected_stale += 1;
                 false
             }
@@ -134,14 +156,14 @@ impl AccountPool {
                 self.rejected_full += 1;
                 false
             }
-            Entry::Occupied(_) => {
+            Ok(_) => {
                 // A different transaction already occupies this nonce; first
                 // arrival wins (like production pools without fee bumping).
                 self.rejected_conflict += 1;
                 false
             }
-            Entry::Vacant(slot) => {
-                slot.insert(tx);
+            Err(vacant) => {
+                state.pending.insert(vacant, tx);
                 self.len += 1;
                 true
             }
@@ -200,7 +222,8 @@ impl AccountPool {
         let mut out = Vec::new();
         for &(account, from_nonce) in frontier {
             if let Some(state) = self.accounts.get(&account) {
-                for (_, tx) in state.pending.range(from_nonce..) {
+                let start = state.pending.partition_point(|tx| tx.nonce() < from_nonce);
+                for tx in state.pending.range(start..) {
                     out.push(*tx);
                     if out.len() == max {
                         return out;
@@ -231,10 +254,10 @@ impl AccountPool {
         state.committed_next = next_nonce;
         while state
             .pending
-            .first_key_value()
-            .is_some_and(|(nonce, _)| *nonce < next_nonce)
+            .front()
+            .is_some_and(|tx| tx.nonce() < next_nonce)
         {
-            state.pending.pop_first();
+            state.pending.pop_front();
             self.len -= 1;
         }
     }
@@ -459,27 +482,61 @@ mod tests {
             nonce: u64,
             to: u32,
         },
+        /// Insert nonces `start..start + len` of one account, highest
+        /// first when `descending`: every arrival then lands in front
+        /// of or inside the window, not at its back.
+        InsertRun {
+            from: u32,
+            start: u64,
+            len: u64,
+            descending: bool,
+        },
         Commit {
             account: u32,
             next_nonce: u64,
         },
         ClearPending,
+        /// Ask both pools what a peer at an arbitrary frontier (any
+        /// account order, repeats allowed) is missing.
+        MissingFor {
+            peer: Vec<(u32, u64)>,
+            max: usize,
+        },
     }
 
-    /// Three inserts to one `mark_committed` to one `clear_pending`.
+    /// Mostly inserts, single or as runs, across windows wide enough
+    /// for gaps and out-of-order arrivals; now and then a
+    /// `mark_committed`, a `clear_pending` or a `missing_for` probe.
     fn op() -> impl Strategy<Value = Op> {
-        (0u8..5, 0u32..5, 0u64..12, 8u32..10).prop_map(|(kind, account, nonce, to)| match kind {
-            0..=2 => Op::Insert {
-                from: account % 4,
-                nonce,
-                to,
-            },
-            3 => Op::Commit {
-                account,
-                next_nonce: nonce,
-            },
-            _ => Op::ClearPending,
-        })
+        (
+            (0u8..9, 0u32..5, 0u64..24),
+            (8u32..10, 1u64..6, proptest::bool::ANY),
+            proptest::collection::vec((0u32..5, 0u64..24), 0..5),
+        )
+            .prop_map(
+                |((kind, account, nonce), (to, len, descending), peer)| match kind {
+                    0..=2 => Op::Insert {
+                        from: account % 4,
+                        nonce,
+                        to,
+                    },
+                    3 | 4 => Op::InsertRun {
+                        from: account % 4,
+                        start: nonce,
+                        len,
+                        descending,
+                    },
+                    5 => Op::Commit {
+                        account,
+                        next_nonce: nonce,
+                    },
+                    6 => Op::ClearPending,
+                    _ => Op::MissingFor {
+                        peer,
+                        max: len as usize * 3,
+                    },
+                },
+            )
     }
 
     proptest! {
@@ -504,6 +561,18 @@ mod tests {
                         prop_assert_eq!(pool.is_stale(&tx), model.is_stale(&tx));
                         prop_assert_eq!(pool.insert(tx), model.insert(tx), "verdict for {}", tx);
                     }
+                    Op::InsertRun { from, start, len, descending } => {
+                        let mut nonces: Vec<u64> = (start..start + len).collect();
+                        if descending {
+                            nonces.reverse();
+                        }
+                        for nonce in nonces {
+                            let tx = Transaction::transfer(
+                                AccountId::new(from), nonce, AccountId::new(8), 1,
+                            );
+                            prop_assert_eq!(pool.insert(tx), model.insert(tx), "verdict for {}", tx);
+                        }
+                    }
                     Op::Commit { account, next_nonce } => {
                         pool.mark_committed(AccountId::new(account), next_nonce);
                         model.mark_committed(AccountId::new(account), next_nonce);
@@ -511,6 +580,10 @@ mod tests {
                     Op::ClearPending => {
                         pool.clear_pending();
                         model.clear_pending();
+                    }
+                    Op::MissingFor { peer, max } => {
+                        let peer: Vec<_> = peer.into_iter().map(|(a, n)| (AccountId::new(a), n)).collect();
+                        prop_assert_eq!(pool.missing_for(&peer, max.max(1)), model.missing_for(&peer, max.max(1)));
                     }
                 }
                 prop_assert_eq!(pool.len(), model.len());

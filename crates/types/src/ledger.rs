@@ -1,5 +1,6 @@
 //! The replicated account ledger each node executes committed blocks on.
 
+use std::collections::btree_map::Entry;
 use std::collections::BTreeMap;
 use std::fmt;
 
@@ -53,6 +54,58 @@ impl fmt::Display for ApplyError {
 
 impl std::error::Error for ApplyError {}
 
+/// One materialised account: its balance and the next sequence number
+/// it may spend.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+struct Account {
+    balance: u64,
+    next_nonce: u64,
+}
+
+impl Account {
+    /// An account on first touch: the lazy default balance, nothing
+    /// spent yet.
+    const fn fresh(balance: u64) -> Account {
+        Account {
+            balance,
+            next_nonce: 0,
+        }
+    }
+
+    /// [`Ledger::check`] against this account as the sender.
+    fn check(&self, tx: &Transaction) -> Result<(), ApplyError> {
+        let expected = self.next_nonce;
+        if tx.nonce() < expected {
+            return Err(ApplyError::SequenceNumberTooOld {
+                expected,
+                got: tx.nonce(),
+            });
+        }
+        if tx.nonce() > expected {
+            return Err(ApplyError::SequenceNumberTooNew {
+                expected,
+                got: tx.nonce(),
+            });
+        }
+        if self.balance < tx.amount() {
+            return Err(ApplyError::InsufficientFunds {
+                balance: self.balance,
+                needed: tx.amount(),
+            });
+        }
+        Ok(())
+    }
+
+    /// Checks `tx` and, if it passes, debits its amount and spends its
+    /// nonce; the account is unchanged on failure.
+    fn debit(&mut self, tx: &Transaction) -> Result<(), ApplyError> {
+        self.check(tx)?;
+        self.balance -= tx.amount();
+        self.next_nonce = tx.nonce() + 1;
+        Ok(())
+    }
+}
+
 /// Account balances and sequence numbers, advanced by executing
 /// committed transactions in order.
 ///
@@ -69,8 +122,9 @@ impl std::error::Error for ApplyError {}
 /// ```
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct Ledger {
-    balances: BTreeMap<AccountId, u64>,
-    nonces: BTreeMap<AccountId, u64>,
+    /// Every materialised account: funded at construction, or touched
+    /// by an executed transfer as its sender or recipient.
+    accounts: BTreeMap<AccountId, Account>,
     executed: u64,
     /// Balance credited lazily to accounts never seen before — the
     /// genesis allocation of a declared-but-unmaterialized population.
@@ -86,11 +140,12 @@ impl Ledger {
 
     /// A ledger where accounts `0..accounts` each hold `balance`.
     pub fn with_uniform_balance(accounts: u32, balance: u64) -> Ledger {
-        let mut ledger = Ledger::new();
-        for i in 0..accounts {
-            ledger.balances.insert(AccountId::new(i), balance);
+        Ledger {
+            accounts: (0..accounts)
+                .map(|i| (AccountId::new(i), Account::fresh(balance)))
+                .collect(),
+            ..Ledger::new()
         }
-        ledger
     }
 
     /// A ledger where *every* account starts at `balance`, materialized
@@ -113,17 +168,23 @@ impl Ledger {
         Ledger::with_lazy_balance(u64::MAX / 512)
     }
 
-    /// The balance of `account` (the lazy default if never touched).
-    pub fn balance(&self, account: AccountId) -> u64 {
-        self.balances
+    /// The account as the next transfer would see it: materialised, or
+    /// fresh at the lazy default.
+    fn account(&self, account: AccountId) -> Account {
+        self.accounts
             .get(&account)
             .copied()
-            .unwrap_or(self.default_balance)
+            .unwrap_or(Account::fresh(self.default_balance))
+    }
+
+    /// The balance of `account` (the lazy default if never touched).
+    pub fn balance(&self, account: AccountId) -> u64 {
+        self.account(account).balance
     }
 
     /// The next sequence number expected from `account`.
     pub fn next_nonce(&self, account: AccountId) -> u64 {
-        self.nonces.get(&account).copied().unwrap_or(0)
+        self.account(account).next_nonce
     }
 
     /// Number of transactions executed so far.
@@ -135,7 +196,7 @@ impl Ledger {
     /// transfers between them; lazily-funded accounts join the sum when
     /// first touched).
     pub fn total_supply(&self) -> u64 {
-        self.balances.values().sum()
+        self.accounts.values().map(|account| account.balance).sum()
     }
 
     /// Checks whether `tx` would execute without applying it.
@@ -144,30 +205,11 @@ impl Ledger {
     ///
     /// Returns the same errors as [`Ledger::apply`].
     pub fn check(&self, tx: &Transaction) -> Result<(), ApplyError> {
-        let expected = self.next_nonce(tx.from());
-        if tx.nonce() < expected {
-            return Err(ApplyError::SequenceNumberTooOld {
-                expected,
-                got: tx.nonce(),
-            });
-        }
-        if tx.nonce() > expected {
-            return Err(ApplyError::SequenceNumberTooNew {
-                expected,
-                got: tx.nonce(),
-            });
-        }
-        let balance = self.balance(tx.from());
-        if balance < tx.amount() {
-            return Err(ApplyError::InsufficientFunds {
-                balance,
-                needed: tx.amount(),
-            });
-        }
-        Ok(())
+        self.account(tx.from()).check(tx)
     }
 
-    /// Executes `tx`, returning its id on success.
+    /// Executes `tx`, returning its id on success. One tree walk finds
+    /// (or places) the sender, one the recipient.
     ///
     /// # Errors
     ///
@@ -176,11 +218,17 @@ impl Ledger {
     /// [`ApplyError::InsufficientFunds`] on overdrafts; the ledger is
     /// unchanged on failure.
     pub fn apply(&mut self, tx: &Transaction) -> Result<TxId, ApplyError> {
-        self.check(tx)?;
-        let default = self.default_balance;
-        *self.balances.entry(tx.from()).or_insert(default) -= tx.amount();
-        *self.balances.entry(tx.to()).or_insert(default) += tx.amount();
-        self.nonces.insert(tx.from(), tx.nonce() + 1);
+        let fresh = Account::fresh(self.default_balance);
+        match self.accounts.entry(tx.from()) {
+            Entry::Occupied(mut sender) => sender.get_mut().debit(tx)?,
+            Entry::Vacant(slot) => {
+                // Materialise the sender only once the transfer passed.
+                let mut sender = fresh;
+                sender.debit(tx)?;
+                slot.insert(sender);
+            }
+        }
+        self.accounts.entry(tx.to()).or_insert(fresh).balance += tx.amount();
         self.executed += 1;
         Ok(tx.id())
     }
@@ -312,5 +360,155 @@ mod tests {
             got: 1,
         };
         assert_eq!(e.to_string(), "sequence number too old: expected 2, got 1");
+    }
+
+    use proptest::prelude::*;
+
+    /// Which constructor a model-based case starts from.
+    fn genesis_kind() -> impl Strategy<Value = u8> {
+        0u8..3
+    }
+
+    fn build(kind: u8) -> (Ledger, reference::TwoMapLedger) {
+        match kind {
+            0 => (Ledger::new(), reference::TwoMapLedger::new()),
+            1 => (
+                Ledger::with_uniform_balance(4, 50),
+                reference::TwoMapLedger::with_uniform_balance(4, 50),
+            ),
+            _ => (
+                Ledger::with_lazy_balance(40),
+                reference::TwoMapLedger::with_lazy_balance(40),
+            ),
+        }
+    }
+
+    /// A transfer among six accounts whose nonce is near the sender's
+    /// next one (so duplicates, gaps and valid spends all occur) and
+    /// whose amount sometimes overdraws; self-transfers included.
+    fn transfer() -> impl Strategy<Value = (u32, u32, u64, u64)> {
+        (0u32..6, 0u32..6, 0u64..6, 0u64..60)
+    }
+
+    proptest! {
+        /// The one-map ledger and the two-map reference agree on every
+        /// verdict, balance, nonce, `executed` and `total_supply` after
+        /// every step, and on `==` between two ledgers that executed
+        /// overlapping histories.
+        #[test]
+        fn one_map_ledger_matches_the_two_map_reference(
+            kind in genesis_kind(),
+            ops in proptest::collection::vec(transfer(), 0..64),
+            keep in proptest::collection::vec(proptest::bool::ANY, 64..65),
+        ) {
+            let (mut ledger, mut model) = build(kind);
+            let (mut other, mut other_model) = build(kind);
+            for (step, (from, to, nonce, amount)) in ops.into_iter().enumerate() {
+                let tx = tx(from, nonce, to, amount);
+                prop_assert_eq!(ledger.check(&tx), model.check(&tx));
+                prop_assert_eq!(ledger.apply(&tx), model.apply(&tx), "verdict for {}", tx);
+                if keep[step] {
+                    prop_assert_eq!(other.apply(&tx), other_model.apply(&tx));
+                }
+                prop_assert_eq!(ledger.executed(), model.executed());
+                prop_assert_eq!(ledger.total_supply(), model.total_supply());
+                for account in (0..7).map(AccountId::new) {
+                    prop_assert_eq!(ledger.balance(account), model.balance(account));
+                    prop_assert_eq!(ledger.next_nonce(account), model.next_nonce(account));
+                }
+                prop_assert_eq!(ledger == other, model == other_model);
+            }
+        }
+    }
+
+    /// The ledger as it was before the one-map rewrite — a balance map
+    /// and a nonce map walked five times per transfer — retained as the
+    /// reference model the rewrite is checked against.
+    mod reference {
+        use std::collections::BTreeMap;
+
+        use crate::{AccountId, ApplyError, Transaction, TxId};
+
+        #[derive(Clone, Debug, Default, PartialEq, Eq)]
+        pub struct TwoMapLedger {
+            balances: BTreeMap<AccountId, u64>,
+            nonces: BTreeMap<AccountId, u64>,
+            executed: u64,
+            default_balance: u64,
+        }
+
+        impl TwoMapLedger {
+            pub fn new() -> TwoMapLedger {
+                TwoMapLedger::default()
+            }
+
+            pub fn with_uniform_balance(accounts: u32, balance: u64) -> TwoMapLedger {
+                let mut ledger = TwoMapLedger::new();
+                for i in 0..accounts {
+                    ledger.balances.insert(AccountId::new(i), balance);
+                }
+                ledger
+            }
+
+            pub fn with_lazy_balance(balance: u64) -> TwoMapLedger {
+                TwoMapLedger {
+                    default_balance: balance,
+                    ..TwoMapLedger::new()
+                }
+            }
+
+            pub fn balance(&self, account: AccountId) -> u64 {
+                self.balances
+                    .get(&account)
+                    .copied()
+                    .unwrap_or(self.default_balance)
+            }
+
+            pub fn next_nonce(&self, account: AccountId) -> u64 {
+                self.nonces.get(&account).copied().unwrap_or(0)
+            }
+
+            pub fn executed(&self) -> u64 {
+                self.executed
+            }
+
+            pub fn total_supply(&self) -> u64 {
+                self.balances.values().sum()
+            }
+
+            pub fn check(&self, tx: &Transaction) -> Result<(), ApplyError> {
+                let expected = self.next_nonce(tx.from());
+                if tx.nonce() < expected {
+                    return Err(ApplyError::SequenceNumberTooOld {
+                        expected,
+                        got: tx.nonce(),
+                    });
+                }
+                if tx.nonce() > expected {
+                    return Err(ApplyError::SequenceNumberTooNew {
+                        expected,
+                        got: tx.nonce(),
+                    });
+                }
+                let balance = self.balance(tx.from());
+                if balance < tx.amount() {
+                    return Err(ApplyError::InsufficientFunds {
+                        balance,
+                        needed: tx.amount(),
+                    });
+                }
+                Ok(())
+            }
+
+            pub fn apply(&mut self, tx: &Transaction) -> Result<TxId, ApplyError> {
+                self.check(tx)?;
+                let default = self.default_balance;
+                *self.balances.entry(tx.from()).or_insert(default) -= tx.amount();
+                *self.balances.entry(tx.to()).or_insert(default) += tx.amount();
+                self.nonces.insert(tx.from(), tx.nonce() + 1);
+                self.executed += 1;
+                Ok(tx.id())
+            }
+        }
     }
 }

@@ -48,7 +48,7 @@ fn latency_profiles_are_chain_specific_but_sane() {
 #[test]
 fn secure_client_waits_for_the_slowest_replica() {
     let mut config = RunConfig::quick(23);
-    config.client_mode = ClientMode::paper_secure();
+    config.client_mode = ClientMode::paper_secure(config.n);
     for chain in [Chain::Redbelly, Chain::Algorand] {
         let single = chain.run(&RunConfig::quick(23));
         let secure = chain.run(&config);
